@@ -469,6 +469,32 @@ ScalePathPerf measure_scale_path() {
   return out;
 }
 
+#ifndef MCK_BUILD_TYPE
+#define MCK_BUILD_TYPE "unknown"
+#endif
+
+/// The host a report was measured on: numbers from different hosts or
+/// builds are not comparable, so every snapshot and history row carries
+/// this.
+struct HostInfo {
+  unsigned nproc = 0;
+  const char* compiler = "";
+  const char* build_type = MCK_BUILD_TYPE;
+};
+
+HostInfo host_info() {
+  HostInfo h;
+  h.nproc = std::thread::hardware_concurrency();
+#if defined(__clang__)
+  h.compiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+  h.compiler = "gcc " __VERSION__;
+#else
+  h.compiler = "unknown";
+#endif
+  return h;
+}
+
 void usage() {
   std::fprintf(stderr,
                "usage: perf_report [--quick] [--out PATH]\n"
@@ -577,9 +603,15 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "perf_report: cannot write %s\n", out_path);
     return 1;
   }
+  const HostInfo host = host_info();
   std::fprintf(f,
                "{\n"
                "  \"quick\": %s,\n"
+               "  \"host\": {\n"
+               "    \"nproc\": %u,\n"
+               "    \"compiler\": \"%s\",\n"
+               "    \"build_type\": \"%s\"\n"
+               "  },\n"
                "  \"event_loop\": {\n"
                "    \"ring_pending\": %d,\n"
                "    \"ring_events\": %llu,\n"
@@ -618,7 +650,8 @@ int main(int argc, char** argv) {
                "    \"n1M_peak_blocked\": %lld\n"
                "  }\n"
                "}\n",
-               quick ? "true" : "false", pending,
+               quick ? "true" : "false", host.nproc, host.compiler,
+               host.build_type, pending,
                static_cast<unsigned long long>(events), cur_eps, leg_eps,
                speedup, cur_ape, leg_ape, pooled_apm, fresh_apm, st.horizon_s,
                st.sim_seconds_per_wall_second, st.events_per_sec, sp.lanes,
@@ -644,6 +677,7 @@ int main(int argc, char** argv) {
     }
     std::fprintf(h,
                  "{\"sha\":\"%s\",\"stamp\":\"%s\",\"quick\":%s,"
+                 "\"nproc\":%u,\"compiler\":\"%s\",\"build_type\":\"%s\","
                  "\"current_events_per_sec\":%.1f,"
                  "\"prechange_events_per_sec\":%.1f,"
                  "\"speedup_over_prechange\":%.3f,"
@@ -654,7 +688,8 @@ int main(int argc, char** argv) {
                  "\"n1k_deliveries_per_sec\":%.1f,"
                  "\"n1M_wall_s\":%.3f,"
                  "\"n1M_peak_rss_kib\":%llu}\n",
-                 sha, stamp, quick ? "true" : "false", cur_eps, leg_eps,
+                 sha, stamp, quick ? "true" : "false", host.nproc,
+                 host.compiler, host.build_type, cur_eps, leg_eps,
                  speedup, cur_ape, st.sim_seconds_per_wall_second,
                  st.events_per_sec, sp.lanes1_overhead,
                  sc.n1k_deliveries_per_sec, sc.n1M_wall_s,

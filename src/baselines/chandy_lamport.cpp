@@ -41,7 +41,7 @@ void ChandyLamportProtocol::take_snapshot(ckpt::InitiationId init) {
   }
 
   sim::SimTime done = start_stable_transfer();
-  ctx_.sim->schedule_at(done, [this, init]() {
+  schedule_timer_at(done, [this, init]() {
     if (init_ != init) return;
     transfer_done_ = true;
     finish_recording();
@@ -84,7 +84,7 @@ void ChandyLamportProtocol::maybe_commit() {
   init_ = 0;
 }
 
-void ChandyLamportProtocol::initiate() {
+void ChandyLamportProtocol::do_initiate() {
   if (coordination_active()) return;
   ckpt::InitiationId init =
       ckpt::make_initiation_id(self(), static_cast<Csn>(ctx_.sim->now() & 0xffffffff));

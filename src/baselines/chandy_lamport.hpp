@@ -19,7 +19,6 @@ class ChandyLamportProtocol final : public rt::CheckpointProtocol {
  public:
   void start();
 
-  void initiate() override;
   bool in_checkpointing() const override { return recording_; }
   bool coordination_active() const override {
     return recording_ || awaiting_done_ > 0;
@@ -29,6 +28,7 @@ class ChandyLamportProtocol final : public rt::CheckpointProtocol {
   std::uint64_t channel_state_msgs() const { return channel_state_msgs_; }
 
  protected:
+  void do_initiate() override;
   std::shared_ptr<const rt::Payload> computation_payload(
       ProcessId dst) override;
   void handle_computation(const rt::Message& m) override;

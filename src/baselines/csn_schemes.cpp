@@ -29,7 +29,7 @@ void CsnSchemeProtocol::take_stable(ckpt::InitiationId init) {
 
   // No second phase: the checkpoint is durable once the transfer lands.
   sim::SimTime done = start_stable_transfer();
-  ctx_.sim->schedule_at(done, [this, ref]() {
+  schedule_timer_at(done, [this, ref]() {
     ctx_.store->make_permanent(ref, ctx_.sim->now());
     ++ctx_.stats->permanent_made;
   });
@@ -51,7 +51,7 @@ void CsnSchemeProtocol::take_stable(ckpt::InitiationId init) {
   R_.reset();
 }
 
-void CsnSchemeProtocol::initiate() {
+void CsnSchemeProtocol::do_initiate() {
   ckpt::InitiationId init = ckpt::make_initiation_id(
       self(), csn_.get(static_cast<std::size_t>(self())) + 1);
   ctx_.tracker->open(init, self(), ctx_.sim->now());

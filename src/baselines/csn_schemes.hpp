@@ -26,13 +26,13 @@ class CsnSchemeProtocol final : public rt::CheckpointProtocol {
 
   void start();
 
-  void initiate() override;
   bool in_checkpointing() const override { return false; }
   bool coordination_active() const override { return false; }
 
   std::uint64_t forced_checkpoints() const { return forced_; }
 
  protected:
+  void do_initiate() override;
   std::shared_ptr<const rt::Payload> computation_payload(
       ProcessId dst) override;
   void handle_computation(const rt::Message& m) override;

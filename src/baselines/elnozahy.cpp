@@ -30,7 +30,7 @@ void ElnozahyProtocol::take_checkpoint(Csn new_csn, ckpt::InitiationId init) {
 
   const ProcessId initiator = ckpt::initiation_pid(init);
   sim::SimTime done = start_stable_transfer();
-  ctx_.sim->schedule_at(done, [this, init, initiator]() {
+  schedule_timer_at(done, [this, init, initiator]() {
     if (pending_init_ != init) return;
     if (initiator == self()) {
       transfer_done_ = true;
@@ -47,7 +47,7 @@ void ElnozahyProtocol::take_checkpoint(Csn new_csn, ckpt::InitiationId init) {
   });
 }
 
-void ElnozahyProtocol::initiate() {
+void ElnozahyProtocol::do_initiate() {
   if (coordination_active()) return;
   Csn c = csn_ + 1;
   ckpt::InitiationId init = ckpt::make_initiation_id(self(), c);

@@ -17,7 +17,6 @@ class ElnozahyProtocol final : public rt::CheckpointProtocol {
  public:
   void start();
 
-  void initiate() override;
   bool in_checkpointing() const override { return pending_init_ != 0; }
   bool coordination_active() const override {
     return pending_init_ != 0 || awaiting_replies_ > 0;
@@ -26,6 +25,7 @@ class ElnozahyProtocol final : public rt::CheckpointProtocol {
   Csn csn() const { return csn_; }
 
  protected:
+  void do_initiate() override;
   std::shared_ptr<const rt::Payload> computation_payload(
       ProcessId dst) override;
   void handle_computation(const rt::Message& m) override;

@@ -35,7 +35,7 @@ void KooTouegProtocol::handle_computation(const rt::Message& m) {
   process_computation(m);
 }
 
-void KooTouegProtocol::initiate() {
+void KooTouegProtocol::do_initiate() {
   if (coordinating_) return;
   ckpt::InitiationId init = ckpt::make_initiation_id(self(), own_csn_ + 1);
   ctx_.tracker->open(init, self(), ctx_.sim->now());
@@ -84,7 +84,7 @@ void KooTouegProtocol::take_tentative_and_propagate(ckpt::InitiationId init,
   // Reply to the parent only once the checkpoint data reached stable
   // storage and all children answered.
   sim::SimTime done = start_stable_transfer();
-  ctx_.sim->schedule_at(done, [this, init]() {
+  schedule_timer_at(done, [this, init]() {
     if (coord_ && coord_->initiation == init) {
       coord_->transfer_done = true;
       maybe_reply();

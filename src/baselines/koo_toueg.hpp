@@ -23,7 +23,6 @@ class KooTouegProtocol final : public rt::CheckpointProtocol {
  public:
   void start();
 
-  void initiate() override;
   bool in_checkpointing() const override { return coordinating_; }
   bool coordination_active() const override { return coordinating_; }
 
@@ -32,6 +31,7 @@ class KooTouegProtocol final : public rt::CheckpointProtocol {
   const util::BitVec& dependency_vector() const { return R_; }
 
  protected:
+  void do_initiate() override;
   std::shared_ptr<const rt::Payload> computation_payload(
       ProcessId dst) override;
   void handle_computation(const rt::Message& m) override;

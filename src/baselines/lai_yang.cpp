@@ -29,7 +29,7 @@ void LaiYangProtocol::take_snapshot(Csn new_round, ckpt::InitiationId init) {
 
   const ProcessId initiator = ckpt::initiation_pid(init);
   sim::SimTime done = start_stable_transfer();
-  ctx_.sim->schedule_at(done, [this, init, initiator]() {
+  schedule_timer_at(done, [this, init, initiator]() {
     if (pending_init_ != init) return;
     if (initiator == self()) {
       transfer_done_ = true;
@@ -61,7 +61,7 @@ void LaiYangProtocol::maybe_commit(ckpt::InitiationId init) {
   pending_ref_ = ckpt::kNoCkpt;
 }
 
-void LaiYangProtocol::initiate() {
+void LaiYangProtocol::do_initiate() {
   if (coordination_active()) return;
   Csn next = round_ + 1;
   ckpt::InitiationId init = ckpt::make_initiation_id(self(), next);

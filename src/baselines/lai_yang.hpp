@@ -22,7 +22,6 @@ class LaiYangProtocol final : public rt::CheckpointProtocol {
  public:
   void start() {}
 
-  void initiate() override;
   bool in_checkpointing() const override { return pending_init_ != 0; }
   bool coordination_active() const override {
     return pending_init_ != 0 || awaiting_replies_ > 0;
@@ -34,6 +33,7 @@ class LaiYangProtocol final : public rt::CheckpointProtocol {
   std::uint64_t channel_state_msgs() const { return channel_state_msgs_; }
 
  protected:
+  void do_initiate() override;
   std::shared_ptr<const rt::Payload> computation_payload(
       ProcessId dst) override;
   void handle_computation(const rt::Message& m) override;

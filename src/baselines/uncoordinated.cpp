@@ -14,14 +14,14 @@ void UncoordinatedProtocol::take_local() {
   // Acharya-Badrinath checkpoints go to stable storage at the MSS too —
   // that transfer cost is exactly the overhead the paper criticises.
   sim::SimTime done = start_stable_transfer();
-  ctx_.sim->schedule_at(done, [this, ref]() {
+  schedule_timer_at(done, [this, ref]() {
     ctx_.store->make_permanent(ref, ctx_.sim->now());
     ++ctx_.stats->permanent_made;
   });
   sent_ = false;
 }
 
-void UncoordinatedProtocol::initiate() { take_local(); }
+void UncoordinatedProtocol::do_initiate() { take_local(); }
 
 std::shared_ptr<const rt::Payload> UncoordinatedProtocol::computation_payload(
     ProcessId /*dst*/) {

@@ -14,14 +14,14 @@ class UncoordinatedProtocol final : public rt::CheckpointProtocol {
  public:
   void start() {}
 
-  /// Periodic local checkpoint (no coordination).
-  void initiate() override;
   bool in_checkpointing() const override { return false; }
   bool coordination_active() const override { return false; }
 
   std::uint64_t checkpoints_taken() const { return taken_; }
 
  protected:
+  /// Periodic local checkpoint (no coordination).
+  void do_initiate() override;
   std::shared_ptr<const rt::Payload> computation_payload(
       ProcessId dst) override;
   void handle_computation(const rt::Message& m) override;

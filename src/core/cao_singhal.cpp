@@ -49,7 +49,7 @@ ckpt::InitiationStats& CaoSinghalProtocol::init_stats(const Trigger& t) {
 
 void CaoSinghalProtocol::schedule_pending_reap(const Trigger& trigger) {
   if (opts_.decision_timeout <= 0) return;
-  ctx_.sim->schedule_after(2 * opts_.decision_timeout, [this, trigger]() {
+  schedule_timer_after(2 * opts_.decision_timeout, [this, trigger]() {
     if (initiation_terminated(trigger.initiation())) return;
     for (const PendingTentative& pt : pending_) {
       if (pt.trigger == trigger) {
@@ -74,6 +74,7 @@ void CaoSinghalProtocol::on_disconnect() {
                    csn_.get(static_cast<std::size_t>(self())), 0,
                    ctx_.log->cursor(self()), ctx_.sim->now());
   (void)start_stable_transfer();
+  note_coordination();
 }
 
 IntervalSet CaoSinghalProtocol::effective_R() const {
@@ -156,7 +157,7 @@ std::shared_ptr<const rt::Payload> CaoSinghalProtocol::computation_payload(
 // Initiation (Section 3.3.1)
 // ---------------------------------------------------------------------
 
-void CaoSinghalProtocol::initiate() {
+void CaoSinghalProtocol::do_initiate() {
   if (active_initiator_) return;  // already running one
   const ProcessId me = self();
   const Csn inum = csn_.bump(static_cast<std::size_t>(me));
@@ -186,7 +187,7 @@ void CaoSinghalProtocol::initiate() {
   MCK_TRACE("[t=%.3fms] P%d initiates %s", sim::to_milliseconds(ctx_.sim->now()),
             me, t.to_string().c_str());
   if (opts_.decision_timeout > 0) {
-    ctx_.sim->schedule_after(opts_.decision_timeout, [this, t]() {
+    schedule_timer_after(opts_.decision_timeout, [this, t]() {
       if (active_initiator_ && own_trigger_ == t) initiator_abort();
     });
   }
@@ -235,7 +236,7 @@ Weight CaoSinghalProtocol::prop_cp(const IntervalSet& deps,
           observed_failures_.push_back(k);
         }
       } else if (trigger.pid == self()) {
-        ctx_.sim->schedule_after(0, [this, trigger]() {
+        schedule_timer_after(0, [this, trigger]() {
           if (active_initiator_ && own_trigger_ == trigger) {
             initiator_abort();
           }
@@ -302,11 +303,11 @@ void CaoSinghalProtocol::take_tentative(const Trigger& trigger,
   // commit decision; the process itself keeps running (precopy, 5.2).
   sim::SimTime done = start_stable_transfer();
   if (as_initiator) {
-    ctx_.sim->schedule_at(done, [this, trigger, remaining]() {
+    schedule_timer_at(done, [this, trigger, remaining]() {
       bank_local_weight(trigger, remaining);
     });
   } else {
-    ctx_.sim->schedule_at(done, [this, trigger, remaining]() {
+    schedule_timer_at(done, [this, trigger, remaining]() {
       // Abort may have raced with the transfer; only reply if the
       // tentative is still pending.
       for (const PendingTentative& p : pending_) {
@@ -364,7 +365,7 @@ void CaoSinghalProtocol::promote_mutable(std::size_t idx,
 
   // Promotion is the moment the checkpoint data crosses the wireless link.
   sim::SimTime done = start_stable_transfer();
-  ctx_.sim->schedule_at(done, [this, trigger, remaining]() {
+  schedule_timer_at(done, [this, trigger, remaining]() {
     for (const PendingTentative& p : pending_) {
       if (p.trigger == trigger) {
         send_reply(trigger, remaining, false);

@@ -90,7 +90,6 @@ class CaoSinghalProtocol final : public rt::CheckpointProtocol {
   void start();
 
   // ---- application surface -------------------------------------------
-  void initiate() override;
   bool in_checkpointing() const override { return cp_state_; }
 
   /// True while this process has an uncommitted tentative checkpoint or
@@ -133,9 +132,11 @@ class CaoSinghalProtocol final : public rt::CheckpointProtocol {
   /// corresponding to its checkpoint initiation."
   void on_restart() {
     if (active_initiator_) initiator_abort();
+    note_coordination();
   }
 
  protected:
+  void do_initiate() override;
   std::shared_ptr<const rt::Payload> computation_payload(
       ProcessId dst) override;
   void handle_computation(const rt::Message& m) override;
@@ -215,6 +216,9 @@ class CaoSinghalProtocol final : public rt::CheckpointProtocol {
   util::SparseCsnMap dep_csn_;
   bool sent_ = false;
   bool cp_state_ = false;
+  // Initiator flag; kept beside the other flags so it packs into their
+  // padding (a million protocol objects pay for every hole).
+  bool active_initiator_ = false;
   Csn old_csn_ = 0;
   // csn of our latest *permanent* checkpoint. The paper's old_csn covers
   // tentative checkpoints too, which is only sound while at most one
@@ -250,7 +254,6 @@ class CaoSinghalProtocol final : public rt::CheckpointProtocol {
     if (!init_) init_ = std::make_unique<InitiatorState>();
     return *init_;
   }
-  bool active_initiator_ = false;
   std::unique_ptr<InitiatorState> init_;
   // Participant side: failures observed while propagating; attached to
   // the next reply.

@@ -1,8 +1,39 @@
 #include "harness/scheduler.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 namespace mck::harness {
+
+namespace {
+
+/// Rejects options that would otherwise abort deep inside the run (a
+/// zero interval trips the stagger draw's `mean > 0` assert) or spin
+/// forever (a zero retry delay re-fires at the same instant).
+SchedulerOptions validate(SchedulerOptions opts) {
+  if (opts.interval <= 0) {
+    throw std::invalid_argument(
+        "checkpoint scheduler: interval must be > 0, got " +
+        std::to_string(sim::to_seconds(opts.interval)) + " s");
+  }
+  if (opts.retry_delay <= 0) {
+    throw std::invalid_argument(
+        "checkpoint scheduler: retry_delay must be > 0, got " +
+        std::to_string(sim::to_seconds(opts.retry_delay)) + " s");
+  }
+  if (opts.initiator_limit < 0) {
+    throw std::invalid_argument(
+        "checkpoint scheduler: initiator_limit must be >= 0, got " +
+        std::to_string(opts.initiator_limit));
+  }
+  return opts;
+}
+
+}  // namespace
+
+CheckpointScheduler::CheckpointScheduler(System& system, SchedulerOptions opts)
+    : sys_(system), opts_(validate(opts)) {}
 
 void CheckpointScheduler::start(sim::SimTime horizon) {
   horizon_ = horizon;
@@ -10,6 +41,12 @@ void CheckpointScheduler::start(sim::SimTime horizon) {
       opts_.initiator_limit > 0
           ? std::min<ProcessId>(opts_.initiator_limit, sys_.n())
           : sys_.n();
+  if (opts_.stagger_start && opts_.interval / (4 * count) <= 0) {
+    throw std::invalid_argument(
+        "checkpoint scheduler: interval of " +
+        std::to_string(opts_.interval) + " ns is too short to stagger " +
+        std::to_string(count) + " initiators");
+  }
   for (ProcessId p = 0; p < count; ++p) {
     sim::SimTime first = opts_.interval;
     if (opts_.stagger_start) {

@@ -28,8 +28,9 @@ struct SchedulerOptions {
 
 class CheckpointScheduler {
  public:
-  CheckpointScheduler(System& system, SchedulerOptions opts)
-      : sys_(system), opts_(opts) {}
+  /// Throws std::invalid_argument unless interval > 0, retry_delay > 0
+  /// and initiator_limit >= 0 (the values come from user-facing flags).
+  CheckpointScheduler(System& system, SchedulerOptions opts);
 
   /// Schedules initiations for every process until `horizon`.
   void start(sim::SimTime horizon);

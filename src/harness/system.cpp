@@ -217,6 +217,7 @@ System::System(SystemOptions opts)
     ctx.timeline = opts_.timeline != nullptr && opts_.timeline->enabled()
                        ? opts_.timeline->counters()
                        : nullptr;
+    ctx.coordinating = &coordinating_;
     proto->bind(ctx);
     protos_.push_back(std::move(proto));
   }
@@ -249,13 +250,6 @@ baselines::KooTouegProtocol& System::koo(ProcessId p) {
   MCK_ASSERT(opts_.algorithm == Algorithm::kKooToueg);
   return *static_cast<baselines::KooTouegProtocol*>(
       protos_[static_cast<std::size_t>(p)].get());
-}
-
-bool System::any_coordination_active() const {
-  for (const auto& p : protos_) {
-    if (p->coordination_active()) return true;
-  }
-  return false;
 }
 
 ckpt::CheckResult System::check_consistency() const {

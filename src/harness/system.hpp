@@ -129,7 +129,12 @@ class System {
   /// Starts a checkpointing process at `p`.
   void initiate(ProcessId p) { proto(p).initiate(); }
 
-  bool any_coordination_active() const;
+  /// True while any process's coordination_active() is true: O(1), read
+  /// from the count the protocols keep (rt::ProcessContext::coordinating).
+  bool any_coordination_active() const { return coordinating_ > 0; }
+
+  /// Number of processes whose coordination_active() is true.
+  std::size_t coordinating_count() const { return coordinating_; }
 
   /// Runs the Theorem 1 oracle over every committed line.
   ckpt::CheckResult check_consistency() const;
@@ -146,6 +151,7 @@ class System {
   ckpt::CheckpointStore store_;
   ckpt::CoordinationTracker tracker_;
   rt::RunStats stats_;
+  std::size_t coordinating_ = 0;  // see coordinating_count()
   /// Run-lifetime bump arena for the protocols' sparse-state spill
   /// storage (rt::ProcessContext::arena). Declared before protos_ so it
   /// outlives them during destruction.

@@ -121,8 +121,11 @@ void CellularTransport::broadcast(rt::Message msg) {
   // handoffs) rides in the 12-byte batch entries.
   const ProcessId n = num_processes();
   encode_for_wire(msg);
-  net::FifoSequencer& fifo =
-      msg.kind == rt::MsgKind::kComputation ? comp_fifo_ : sys_fifo_;
+  // The source's dense FIFO row: the loop below stamps all n - 1
+  // channels in pid order instead of hashing (src, p) per recipient.
+  net::FifoSequencer::Row row =
+      (msg.kind == rt::MsgKind::kComputation ? comp_fifo_ : sys_fifo_)
+          .fanout_row(msg.src);
   const MssId src_mss = mss_of_[static_cast<std::size_t>(msg.src)];
   const std::uint64_t bytes = msg.size_bytes;
   const sim::SimTime d_local = path_delay(src_mss, src_mss, bytes);
@@ -147,7 +150,7 @@ void CellularTransport::broadcast(rt::Message msg) {
       // sharded engine routes each message to its owner region itself.
       rt::Message copy = msg;
       copy.dst = p;
-      copy.channel_seq = fifo.stamp_channel(msg.src, p);
+      copy.channel_seq = row.stamp(p);
       sim::SimTime at = sim_.now() + (dst_mss == src_mss ? d_local : d_remote);
       MCK_ASSERT(at >= sim_.now() + min_cross_delay());
       emit_(at, std::move(copy), dst_mss);
@@ -155,8 +158,7 @@ void CellularTransport::broadcast(rt::Message msg) {
     }
     BroadcastBatch& b =
         (single_class || dst_mss == src_mss) ? *local : *remote;
-    b.entries.push_back(
-        BroadcastEntry{p, fifo.stamp_channel(msg.src, p), dst_mss});
+    b.entries.push_back(BroadcastEntry{p, row.stamp(p), dst_mss});
   }
   // Same-MSS arrivals strictly precede cross-MSS arrivals (the backbone
   // hop adds delay), matching the retired per-recipient event order.
@@ -186,9 +188,9 @@ void CellularTransport::deliver_batch(const std::shared_ptr<BroadcastBatch>& bat
   // as a contiguous block in entry order; a slow entry flushes the run
   // collected so far (its event seq precedes whatever the slow arrival
   // schedules) and starts a new run, reproducing the interleaving.
-  net::FifoSequencer& fifo =
-      batch->tmpl.kind == rt::MsgKind::kComputation ? comp_fifo_ : sys_fifo_;
-  const ProcessId src = batch->tmpl.src;
+  net::FifoSequencer::Row row =
+      (batch->tmpl.kind == rt::MsgKind::kComputation ? comp_fifo_ : sys_fifo_)
+          .fanout_row(batch->tmpl.src);
   const bool buffers = batch->tmpl.kind == rt::MsgKind::kComputation;
   std::size_t run_begin = 0;
   auto flush = [&](std::size_t end) {
@@ -215,7 +217,7 @@ void CellularTransport::deliver_batch(const std::shared_ptr<BroadcastBatch>& bat
     const bool reroute =
         !disc && mss_of_[static_cast<std::size_t>(e.pid)] != e.routed_to;
     if (!reroute && !(disc && buffers) &&
-        fifo.try_fast_deliver(src, e.pid, e.seq)) {
+        row.try_fast_deliver(e.pid, e.seq)) {
       continue;
     }
     flush(i);

@@ -102,6 +102,12 @@ class CellularTransport final : public rt::Transport {
   std::uint64_t messages_buffered() const { return buffered_total_; }
   std::uint64_t handoffs() const { return handoffs_; }
 
+  /// FIFO channel state held by both sequencers (computation and system),
+  /// in bytes; see net::FifoSequencer::channel_bytes().
+  std::size_t channel_bytes() const {
+    return comp_fifo_.channel_bytes() + sys_fifo_.channel_bytes();
+  }
+
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
   /// Attaches the timeline gauge block (null = off). The transport owns

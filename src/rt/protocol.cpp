@@ -75,6 +75,7 @@ void CheckpointProtocol::send_computation(ProcessId dst) {
   ++e.tx_comp_msgs;
   e.tx_bytes += m.size_bytes;
   ctx_.net->send(std::move(m));
+  note_coordination();
 }
 
 void CheckpointProtocol::on_deliver(const Message& m) {
@@ -99,6 +100,7 @@ void CheckpointProtocol::on_deliver(const Message& m) {
     ++e.rx_sys_msgs;  // a dozing MH is woken by this message
     handle_system(m);
   }
+  note_coordination();
 }
 
 void CheckpointProtocol::send_system(MsgKind kind, ProcessId dst,

@@ -8,8 +8,10 @@
 // comparisons stay apples-to-apples.
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "ckpt/event_log.hpp"
@@ -128,6 +130,11 @@ struct ProcessContext {
   /// blocked-process gauge here; other owners (store, tracker, transport)
   /// hold their own pointer to the same per-region block.
   obs::TimelineCounters* timeline = nullptr;
+  /// Number of processes whose coordination_active() is true (null =
+  /// not counted). Owned by the harness; each protocol moves it from
+  /// note_coordination() at the end of every entry point, so "is any
+  /// coordination in flight?" is one load instead of an O(n) scan.
+  std::size_t* coordinating = nullptr;
 };
 
 class CheckpointProtocol {
@@ -143,7 +150,10 @@ class CheckpointProtocol {
   void send_computation(ProcessId dst);
 
   /// Starts a checkpointing process with this process as initiator.
-  virtual void initiate() = 0;
+  void initiate() {
+    do_initiate();
+    note_coordination();
+  }
 
   /// Paper's cp_state: true while this process believes a checkpointing
   /// is in progress.
@@ -151,7 +161,9 @@ class CheckpointProtocol {
 
   /// True while this process holds uncommitted coordination state (used
   /// by the harness to serialize initiations, Section 3.3's "at most one
-  /// checkpointing is in progress" assumption).
+  /// checkpointing is in progress" assumption). The harness reads it
+  /// through ProcessContext::coordinating, refreshed by
+  /// note_coordination().
   virtual bool coordination_active() const { return in_checkpointing(); }
 
   /// True if this process currently suppresses its underlying computation
@@ -166,9 +178,11 @@ class CheckpointProtocol {
   void on_deliver(const Message& m);
 
  protected:
-  // Hooks implemented by each algorithm. computation_payload() is called
+  // Hooks implemented by each algorithm. do_initiate() is initiate()'s
+  // body. computation_payload() is called
   // exactly once per computation message actually sent (so algorithms may
   // update their sent-flags / histories inside it).
+  virtual void do_initiate() = 0;
   virtual std::shared_ptr<const Payload> computation_payload(ProcessId dst) = 0;
   virtual void handle_computation(const Message& m) = 0;
   virtual void handle_system(const Message& m) = 0;
@@ -204,12 +218,47 @@ class CheckpointProtocol {
   void block();
   void unblock();
 
+  /// Re-evaluates coordination_active() and moves the harness count
+  /// (ProcessContext::coordinating) by the change. Called at the end of
+  /// every entry point — delivery, initiate(), send_computation() and
+  /// timers scheduled through schedule_timer_at/after — and by
+  /// algorithm entry points of their own (restart, disconnect). The
+  /// predicate stays the single source of truth; this only caches it.
+  /// The count is therefore exact between events; a callback run from
+  /// inside an entry point does not yet see that process's change.
+  void note_coordination() {
+    const bool active = coordination_active();
+    if (active == coordinating_) return;
+    coordinating_ = active;
+    if (ctx_.coordinating != nullptr) {
+      if (active) {
+        ++*ctx_.coordinating;
+      } else {
+        --*ctx_.coordinating;
+      }
+    }
+  }
+
+  /// Schedules a protocol timer; note_coordination() runs after `fn`.
+  template <typename Fn>
+  void schedule_timer_at(sim::SimTime at, Fn&& fn) {
+    ctx_.sim->schedule_at(at, [this, f = std::forward<Fn>(fn)]() mutable {
+      f();
+      note_coordination();
+    });
+  }
+  template <typename Fn>
+  void schedule_timer_after(sim::SimTime delay, Fn&& fn) {
+    schedule_timer_at(ctx_.sim->now() + delay, std::forward<Fn>(fn));
+  }
+
   ProcessContext ctx_;
 
  private:
   void dispatch_deferred();
 
   bool blocked_ = false;
+  bool coordinating_ = false;  // last value note_coordination() saw
   sim::SimTime blocked_since_ = -1;
   std::vector<ProcessId> deferred_sends_;
 };

@@ -2,6 +2,9 @@
 // (Section 5.1), experiment aggregation, and statistics plumbing.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "harness/experiment.hpp"
 #include "harness/scheduler.hpp"
 #include "harness/system.hpp"
@@ -162,6 +165,50 @@ TEST(Scheduler, SerializationPreventsOverlap) {
   sys.simulator().run_until(sim::kTimeNever);
   EXPECT_GT(sched.retries(), 0u);  // overlaps were actually deferred
   EXPECT_TRUE(sys.check_consistency().consistent);
+}
+
+TEST(Scheduler, RejectsBadOptionsAtConstruction) {
+  SystemOptions opts;
+  opts.num_processes = 4;
+  System sys(opts);
+  auto make = [&sys](harness::SchedulerOptions so) {
+    harness::CheckpointScheduler sched(sys, so);
+  };
+  harness::SchedulerOptions so;
+  so.interval = 0;
+  EXPECT_THROW(make(so), std::invalid_argument);
+  so.interval = -sim::seconds(5);
+  EXPECT_THROW(make(so), std::invalid_argument);
+  so = {};
+  so.retry_delay = 0;
+  EXPECT_THROW(make(so), std::invalid_argument);
+  so.retry_delay = -1;
+  EXPECT_THROW(make(so), std::invalid_argument);
+  so = {};
+  so.initiator_limit = -1;
+  EXPECT_THROW(make(so), std::invalid_argument);
+  so = {};
+  EXPECT_NO_THROW(make(so));
+  try {
+    so.interval = 0;
+    make(so);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("interval"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Scheduler, RejectsAnIntervalTooShortToStagger) {
+  // The stagger draw's mean is interval / (4 * initiators); at 1 ns it
+  // would be zero and trip the exponential's `mean > 0` assert.
+  SystemOptions opts;
+  opts.num_processes = 4;
+  System sys(opts);
+  harness::SchedulerOptions so;
+  so.interval = 1;
+  harness::CheckpointScheduler sched(sys, so);
+  EXPECT_THROW(sched.start(sim::seconds(10)), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------

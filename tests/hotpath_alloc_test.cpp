@@ -275,6 +275,51 @@ TEST(HotPathAllocs, CellularBroadcastCostsO1EventsAndAllocations) {
       << "broadcast fan-out must not expand the event slot pool to O(n)";
 }
 
+TEST(HotPathAllocs, FanoutRowIsMadeOnceAndIsExactlyOneChannelPerHost) {
+  // At n = 100k a commit broadcast stamps and checks 100k FIFO channels.
+  // They live in one dense row per fan-out source (8 B per host), made
+  // by the source's first broadcast: a second broadcast from the same
+  // source must not add a byte of channel state, and each new fan-out
+  // source adds exactly 8 B x n.
+  const int n = 100000;
+  sim::Simulator sim;
+  mobile::CellularParams params;
+  params.num_mss = 32;
+  params.cells_per_mss = 48;
+  mobile::CellularTransport cell(sim, n, params);
+  std::uint64_t delivered = 0;
+  for (ProcessId p = 0; p < n; ++p) {
+    cell.set_sink(p, [&](const rt::Message&) { ++delivered; });
+  }
+  auto broadcast_from = [&](ProcessId src) {
+    rt::Message m;
+    m.src = src;
+    m.kind = rt::MsgKind::kCommit;
+    m.size_bytes = 50;
+    cell.broadcast(std::move(m));
+    sim.run_until();
+  };
+
+  const std::size_t empty = cell.channel_bytes();
+  broadcast_from(7);
+  EXPECT_EQ(delivered, static_cast<std::uint64_t>(n - 1));
+  EXPECT_EQ(cell.channel_bytes(), empty + 8u * n)
+      << "a fan-out source holds exactly one 8-byte channel per host";
+
+  const std::size_t one_row = cell.channel_bytes();
+  std::uint64_t a0 = allocs();
+  broadcast_from(7);
+  EXPECT_LE(allocs() - a0, 16u)
+      << "a warm 100k-recipient broadcast must allocate O(1), not O(n)";
+  EXPECT_EQ(cell.channel_bytes(), one_row)
+      << "a second broadcast from the same source allocated channel state";
+  EXPECT_EQ(delivered, 2u * static_cast<std::uint64_t>(n - 1));
+
+  broadcast_from(99999);
+  EXPECT_EQ(cell.channel_bytes(), one_row + 8u * n);
+  EXPECT_LE(sim.slot_count(), 256u);
+}
+
 TEST(HotPathAllocs, LegacyStyleChurnIsVisibleToTheCounter) {
   if (!counter_active()) GTEST_SKIP() << "allocator interposed (sanitizer)";
   std::uint64_t a0 = allocs();

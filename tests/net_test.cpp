@@ -2,8 +2,16 @@
 // (dedicated and shared medium), and cellular transport mechanics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <deque>
+#include <map>
+#include <random>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "mobile/cellular.hpp"
 #include "net/fifo.hpp"
@@ -115,6 +123,227 @@ TEST(FifoSequencer, SparseStorageAboveDenseLimitBehavesIdentically) {
   fifo.stamp(r);
   EXPECT_EQ(r.channel_seq, 0u);
   EXPECT_EQ(arrive_collect(fifo, r).size(), 1u);
+}
+
+/// Reference FIFO channels for the model check: a std::map keyed
+/// (src, dst), with each channel's parked overtakers in an ordered set.
+class RefFifo {
+ public:
+  std::uint32_t stamp(ProcessId src, ProcessId dst) {
+    return chans_[{src, dst}].next_send++;
+  }
+  bool try_fast_deliver(ProcessId src, ProcessId dst, std::uint32_t seq) {
+    Chan& c = chans_[{src, dst}];
+    if (parked_ != 0 || seq != c.next_deliver) return false;
+    ++c.next_deliver;
+    return true;
+  }
+  /// Sequence numbers released by the arrival of `seq`, in order.
+  std::vector<std::uint32_t> arrive(ProcessId src, ProcessId dst,
+                                    std::uint32_t seq) {
+    Chan& c = chans_[{src, dst}];
+    std::vector<std::uint32_t> out;
+    if (seq != c.next_deliver) {
+      c.parked.insert(seq);
+      ++parked_;
+      return out;
+    }
+    out.push_back(c.next_deliver++);
+    while (c.parked.erase(c.next_deliver) != 0) {
+      --parked_;
+      out.push_back(c.next_deliver++);
+    }
+    return out;
+  }
+  std::size_t parked() const { return parked_; }
+  template <typename F>
+  void for_each_channel(F&& f) const {
+    for (const auto& [k, c] : chans_) f(k.first, k.second, c.next_send);
+  }
+
+ private:
+  struct Chan {
+    std::uint32_t next_send = 0;
+    std::uint32_t next_deliver = 0;
+    std::set<std::uint32_t> parked;
+  };
+  std::map<std::pair<ProcessId, ProcessId>, Chan> chans_;
+  std::size_t parked_ = 0;
+};
+
+/// Randomized model check of FifoSequencer against RefFifo: point-to-point
+/// stamps from a few hot sources, fan-out stamps walked in pid order like
+/// a broadcast batch (fast path first, a few entries deferred so they
+/// arrive out of order), and arrivals picked near the front of the
+/// in-flight queue so overtaking is common. Each fan-out source gets its
+/// row mid-stream, while it still has live sparse channels and a parked
+/// overtaker. Every stamp and every released sequence must match.
+void fifo_model_check(int n, std::uint64_t seed, int steps,
+                      int fanout_every) {
+  SCOPED_TRACE("n=" + std::to_string(n) + " seed=" + std::to_string(seed));
+  net::FifoSequencer fifo(n);
+  RefFifo ref;
+  std::mt19937_64 rng(seed);
+  auto pick = [&rng](int bound) {
+    return static_cast<int>(rng() % static_cast<std::uint64_t>(bound));
+  };
+  std::vector<ProcessId> hot(8), dsts(24);
+  for (ProcessId& p : hot) p = pick(n);
+  for (ProcessId& p : dsts) p = pick(n);
+
+  struct InFlight {
+    ProcessId src;
+    ProcessId dst;
+    std::uint32_t seq;
+  };
+  std::deque<InFlight> flight;
+  std::uint64_t stamped = 0, released = 0;
+
+  auto send_p2p = [&](ProcessId src, ProcessId dst) {
+    rt::Message m = make_msg(src, dst, 10);
+    fifo.stamp(m);
+    ASSERT_EQ(m.channel_seq, ref.stamp(src, dst)) << src << "->" << dst;
+    flight.push_back({src, dst, static_cast<std::uint32_t>(m.channel_seq)});
+    ++stamped;
+  };
+  auto deliver = [&](const InFlight& f) {
+    rt::Message m = make_msg(f.src, f.dst, 10);
+    m.channel_seq = f.seq;
+    std::vector<std::uint32_t> got;
+    for (const rt::Message& r : arrive_collect(fifo, m)) {
+      ASSERT_EQ(r.src, f.src);
+      ASSERT_EQ(r.dst, f.dst);
+      got.push_back(r.channel_seq);
+    }
+    ASSERT_EQ(got, ref.arrive(f.src, f.dst, f.seq))
+        << f.src << "->" << f.dst << " seq " << f.seq;
+    released += got.size();
+  };
+  auto arrive_one = [&] {
+    const std::size_t window = std::min<std::size_t>(flight.size(), 64);
+    const std::size_t i =
+        pick(10) < 7 ? 0
+                     : static_cast<std::size_t>(pick(static_cast<int>(window)));
+    const InFlight f = flight[i];
+    flight.erase(flight.begin() + static_cast<std::ptrdiff_t>(i));
+    deliver(f);
+  };
+  auto fan_out = [&](ProcessId src) {
+    net::FifoSequencer::Row row = fifo.fanout_row(src);
+    std::vector<InFlight> batch;
+    batch.reserve(static_cast<std::size_t>(n));
+    for (ProcessId d = 0; d < n; ++d) {
+      if (d == src) continue;
+      const std::uint32_t seq = row.stamp(d);
+      ASSERT_EQ(seq, ref.stamp(src, d)) << "fan-out " << src << "->" << d;
+      batch.push_back({src, d, seq});
+      ++stamped;
+    }
+    for (const InFlight& f : batch) {
+      if (pick(50) == 0) {
+        flight.push_back(f);  // rerouted: arrives later, out of order
+        continue;
+      }
+      const bool fast = row.try_fast_deliver(f.dst, f.seq);
+      ASSERT_EQ(fast, ref.try_fast_deliver(f.src, f.dst, f.seq))
+          << f.src << "->" << f.dst << " seq " << f.seq;
+      if (fast) {
+        ++released;
+      } else {
+        deliver(f);
+      }
+    }
+  };
+
+  std::set<ProcessId> has_row;
+  for (int step = 0; step < steps; ++step) {
+    if (step % fanout_every == fanout_every - 1) {
+      const ProcessId src = hot[static_cast<std::size_t>(pick(4))];
+      if (has_row.insert(src).second) {
+        // Mid-stream row creation: src has live sparse channels, one of
+        // them with a parked overtaker, when its first fan-out arrives.
+        const ProcessId d = dsts[static_cast<std::size_t>(pick(24))];
+        if (d != src) {
+          send_p2p(src, d);
+          send_p2p(src, d);
+          const InFlight second = flight.back();
+          flight.pop_back();
+          deliver(second);
+          ASSERT_GT(ref.parked(), 0u);
+        }
+      }
+      fan_out(src);
+      if (::testing::Test::HasFatalFailure()) return;
+      if (n > 256) {
+        EXPECT_EQ(fifo.fanout_rows(), has_row.size());
+      } else {
+        EXPECT_EQ(fifo.fanout_rows(), 0u) << "no rows in the dense regime";
+      }
+      continue;
+    }
+    if (flight.empty() || pick(2) == 0) {
+      const ProcessId src = hot[static_cast<std::size_t>(pick(8))];
+      const ProcessId dst = dsts[static_cast<std::size_t>(pick(24))];
+      if (src != dst) send_p2p(src, dst);
+    } else {
+      arrive_one();
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  while (!flight.empty()) {
+    arrive_one();
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_EQ(ref.parked(), 0u);
+  EXPECT_EQ(released, stamped);
+  // Both sides agree on every channel's next sequence number.
+  ref.for_each_channel([&](ProcessId src, ProcessId dst, std::uint32_t next) {
+    EXPECT_EQ(fifo.stamp_channel(src, dst), next) << src << "->" << dst;
+  });
+}
+
+TEST(FifoSequencer, ModelCheckDenseRegime) {
+  for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
+    fifo_model_check(200, seed, 20000, 997);
+  }
+}
+
+TEST(FifoSequencer, ModelCheckFanoutRowsAtN300) {
+  for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
+    fifo_model_check(300, seed, 20000, 997);
+  }
+}
+
+TEST(FifoSequencer, ModelCheckFanoutRowsAtN100k) {
+  fifo_model_check(100000, 7, 12000, 3001);
+}
+
+TEST(FifoSequencer, RowCreationMovesLiveChannelsFromALargeTable) {
+  // Row creation has two ways to find the source's sparse channels:
+  // scan the table when it is smaller than a row, probe every
+  // destination otherwise. Grow the table past n so the probe path runs.
+  const int n = 300;
+  net::FifoSequencer fifo(n);
+  for (ProcessId src = 1; src < n; ++src) {
+    for (ProcessId dst : {0, 5, 9}) (void)fifo.stamp_channel(src, dst);
+  }
+  for (ProcessId dst = 1; dst < n; dst += 7) {
+    (void)fifo.stamp_channel(0, dst);
+  }
+  const std::size_t before = fifo.channel_bytes();
+  net::FifoSequencer::Row row = fifo.fanout_row(0);
+  EXPECT_EQ(fifo.channel_bytes(), before + 8u * n);
+  for (ProcessId dst = 1; dst < n; ++dst) {
+    EXPECT_EQ(row.stamp(dst), dst % 7 == 1 ? 1u : 0u) << dst;
+  }
+  // Channels of other sources survived the deletions around them.
+  for (ProcessId src = 1; src < n; ++src) {
+    for (ProcessId dst : {0, 5, 9}) {
+      if (src != dst) {
+        EXPECT_EQ(fifo.stamp_channel(src, dst), 1u);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -130,6 +130,7 @@ int main(int argc, char** argv) {
       if (cfg.rate <= 0) usage("--rate must be positive");
     } else if (arg == "--interval") {
       cfg.ckpt_interval = sim::from_seconds(std::atof(next()));
+      if (cfg.ckpt_interval <= 0) usage("--interval must be positive");
     } else if (arg == "--hours") {
       hours = std::atof(next());
     } else if (arg == "--workload") {
