@@ -1,4 +1,4 @@
-// Hot-path performance report. Measures three things and writes them to a
+// Hot-path performance report. Measures four things and writes them to a
 // JSON file (default BENCH_hotpath.json in the working directory):
 //
 //  1. Event-loop throughput (events/s) on a steady-state scheduling ring —
@@ -21,6 +21,11 @@
 //     events/s) on a fig5-style Cao-Singhal run, so the report tracks the
 //     end-to-end number and not just the queue microcosm.
 //
+//  4. The Theorem-1 checker's cost per committed line: check_all on one
+//     synthetic log with 10 and with 1000 consistent lines. The ratio
+//     compares two times from one run, so it needs no baseline from
+//     another host; a checker that rescans the log per line makes it ~100.
+//
 // Usage: perf_report [--quick] [--out PATH]
 #include <algorithm>
 #include <atomic>
@@ -36,6 +41,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "ckpt/checker.hpp"
 #include "harness/experiment.hpp"
 #include "harness/sharded.hpp"
 #include "sim/simulator.hpp"
@@ -314,6 +320,64 @@ SimThroughput measure_sim_throughput(bool quick) {
           static_cast<double>(res.stats.deliveries) / dt, horizon_s};
 }
 
+// Checker cost vs committed lines: one n = 16 log of kCheckerMessages
+// delivered messages, cut by 1000 consistent lines evenly spread over it
+// (every process's cursor at that point); the 10-line tracker takes every
+// 100th of them. check_all is timed best-of-kCheckerTrials on each.
+constexpr int kCheckerProcs = 16;
+constexpr std::size_t kCheckerMessages = 200'000;
+constexpr int kCheckerTrials = 5;
+
+struct CheckerPerf {
+  double lines10_s = 0;
+  double lines1000_s = 0;
+  double ratio = 0;  // lines1000_s / lines10_s
+};
+
+double time_check_all(const ckpt::EventLog& log,
+                      const ckpt::CoordinationTracker& tracker,
+                      std::size_t lines) {
+  double best = 0;
+  for (int t = 0; t < kCheckerTrials; ++t) {
+    Clock::time_point t0 = Clock::now();
+    ckpt::CheckResult res = ckpt::ConsistencyChecker(log, tracker).check_all();
+    double dt = secs_since(t0);
+    if (!res.consistent || res.lines_checked != lines) {
+      std::fprintf(stderr, "perf_report: checker workload is not %zu "
+                   "consistent lines\n", lines);
+      std::exit(1);
+    }
+    if (t == 0 || dt < best) best = dt;
+  }
+  return best;
+}
+
+CheckerPerf measure_checker() {
+  ckpt::EventLog log(kCheckerProcs);
+  ckpt::CoordinationTracker ten, thousand;
+  std::uint64_t lcg = 0x2545f4914f6cdd1dULL;
+  for (std::size_t i = 0; i < kCheckerMessages; ++i) {
+    lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+    auto src = static_cast<ProcessId>((lcg >> 33) % kCheckerProcs);
+    auto dst = static_cast<ProcessId>((lcg >> 45) % kCheckerProcs);
+    log.record_recv(log.record_send(src, dst, 0), dst, 0);
+    if ((i + 1) % (kCheckerMessages / 1000) != 0) continue;
+    const auto k = static_cast<Csn>((i + 1) / (kCheckerMessages / 1000));
+    ckpt::InitiationStats& s =
+        thousand.open(ckpt::make_initiation_id(0, k), 0, 0);
+    for (ProcessId p = 0; p < kCheckerProcs; ++p) {
+      s.line_updates.emplace_back(p, log.cursor(p));
+    }
+    s.committed_at = static_cast<sim::SimTime>(k);
+    if (k % 100 == 0) ten.open(s.id, 0, 0) = s;  // same line, 10-line run
+  }
+  CheckerPerf out;
+  out.lines10_s = time_check_all(log, ten, 10);
+  out.lines1000_s = time_check_all(log, thousand, 1000);
+  out.ratio = out.lines10_s > 0 ? out.lines1000_s / out.lines10_s : 0;
+  return out;
+}
+
 // Sharded-engine cost on a workload long enough to mean something: the
 // same experiment on the legacy serial engine vs the sharded engine with
 // one worker lane (pure windowing + cross-region fan-out overhead — THE
@@ -576,6 +640,11 @@ int main(int argc, char** argv) {
               "%.0f deliveries/s\n",
               st.sim_seconds_per_wall_second, st.events_per_sec);
 
+  CheckerPerf ck = measure_checker();
+  std::printf("checker: %zu messages, 10 lines %.4fs, 1000 lines %.4fs "
+              "(ratio %.2f)\n",
+              kCheckerMessages, ck.lines10_s, ck.lines1000_s, ck.ratio);
+
   // Scale path before the sharded stage: the multi-lane spin loads the
   // machine for seconds, which would bias the noise-sensitive ~0.1 s
   // n=1k timing that follows it.
@@ -630,6 +699,13 @@ int main(int argc, char** argv) {
                "    \"sim_seconds_per_wall_second\": %.1f,\n"
                "    \"deliveries_per_sec\": %.1f\n"
                "  },\n"
+               "  \"checker\": {\n"
+               "    \"workload\": \"check_all, n=%d, %zu delivered messages, "
+               "consistent lines, best-of-%d\",\n"
+               "    \"lines10_s\": %.5f,\n"
+               "    \"lines1000_s\": %.5f,\n"
+               "    \"ratio_1000_over_10\": %.3f\n"
+               "  },\n"
                "  \"sharded\": {\n"
                "    \"lanes\": %d,\n"
                "    \"serial_engine_wall_s\": %.3f,\n"
@@ -654,7 +730,9 @@ int main(int argc, char** argv) {
                host.build_type, pending,
                static_cast<unsigned long long>(events), cur_eps, leg_eps,
                speedup, cur_ape, leg_ape, pooled_apm, fresh_apm, st.horizon_s,
-               st.sim_seconds_per_wall_second, st.events_per_sec, sp.lanes,
+               st.sim_seconds_per_wall_second, st.events_per_sec,
+               kCheckerProcs, kCheckerMessages, kCheckerTrials, ck.lines10_s,
+               ck.lines1000_s, ck.ratio, sp.lanes,
                sp.serial_s, sp.lanes1_s, sp.lanesN_s, sp.lanes1_overhead,
                kScaleTrials, sc.n1k_deliveries_per_sec, sc.n1k_wall_s,
                sc.n1M_wall_s,
@@ -685,13 +763,14 @@ int main(int argc, char** argv) {
                  "\"sim_seconds_per_wall_second\":%.1f,"
                  "\"deliveries_per_sec\":%.1f,"
                  "\"lanes1_overhead\":%.3f,"
+                 "\"checker_ratio_1000_over_10\":%.3f,"
                  "\"n1k_deliveries_per_sec\":%.1f,"
                  "\"n1M_wall_s\":%.3f,"
                  "\"n1M_peak_rss_kib\":%llu}\n",
                  sha, stamp, quick ? "true" : "false", host.nproc,
                  host.compiler, host.build_type, cur_eps, leg_eps,
                  speedup, cur_ape, st.sim_seconds_per_wall_second,
-                 st.events_per_sec, sp.lanes1_overhead,
+                 st.events_per_sec, sp.lanes1_overhead, ck.ratio,
                  sc.n1k_deliveries_per_sec, sc.n1M_wall_s,
                  static_cast<unsigned long long>(sc.n1M_peak_rss_kib));
     std::fclose(h);

@@ -53,7 +53,17 @@ class Log {
 
 }  // namespace mck::util
 
-#define MCK_INFO(...) \
-  ::mck::util::Log::printf(::mck::util::LogLevel::kInfo, __VA_ARGS__)
-#define MCK_TRACE(...) \
-  ::mck::util::Log::printf(::mck::util::LogLevel::kTrace, __VA_ARGS__)
+// The level test comes first, so a disabled log statement evaluates none
+// of its arguments (protocol traces format trigger strings per message).
+#define MCK_INFO(...)                                                      \
+  do {                                                                     \
+    if (::mck::util::Log::enabled(::mck::util::LogLevel::kInfo)) {         \
+      ::mck::util::Log::printf(::mck::util::LogLevel::kInfo, __VA_ARGS__); \
+    }                                                                      \
+  } while (0)
+#define MCK_TRACE(...)                                                      \
+  do {                                                                      \
+    if (::mck::util::Log::enabled(::mck::util::LogLevel::kTrace)) {         \
+      ::mck::util::Log::printf(::mck::util::LogLevel::kTrace, __VA_ARGS__); \
+    }                                                                       \
+  } while (0)

@@ -121,6 +121,41 @@ TEST(Log, LevelsGateOutput) {
   util::Log::level() = saved;
 }
 
+TEST(Log, DisabledMacrosEvaluateNoArguments) {
+  util::LogLevel saved = util::Log::level();
+  int calls = 0;
+  auto arg = [&calls] { return ++calls; };
+
+  util::Log::level() = util::LogLevel::kOff;
+  MCK_INFO("info %d", arg());
+  MCK_TRACE("trace %d", arg());
+  EXPECT_EQ(calls, 0);
+
+  // Info on: the info argument is evaluated (and printed), trace is not.
+  util::Log::level() = util::LogLevel::kInfo;
+  testing::internal::CaptureStderr();
+  MCK_INFO("info %d", arg());
+  MCK_TRACE("trace %d", arg());
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "info 1\n");
+  EXPECT_EQ(calls, 1);
+
+  util::Log::level() = util::LogLevel::kTrace;
+  testing::internal::CaptureStderr();
+  MCK_INFO("info %d", arg());
+  MCK_TRACE("trace %d", arg());
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "info 2\ntrace 3\n");
+  EXPECT_EQ(calls, 3);
+
+  // A statement macro: safe as the body of an unbraced if/else.
+  util::Log::level() = util::LogLevel::kOff;
+  if (calls > 0)
+    MCK_TRACE("trace %d", arg());
+  else
+    MCK_INFO("info %d", arg());
+  EXPECT_EQ(calls, 3);
+  util::Log::level() = saved;
+}
+
 TEST(Store, CheckpointKindNames) {
   EXPECT_STREQ(ckpt::to_string(ckpt::CkptKind::kMutable), "mutable");
   EXPECT_STREQ(ckpt::to_string(ckpt::CkptKind::kDisconnect), "disconnect");
