@@ -27,6 +27,8 @@
 //     another host; a checker that rescans the log per line makes it ~100.
 //
 // Usage: perf_report [--quick] [--out PATH]
+#include <malloc.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -449,6 +451,8 @@ struct ScalePathPerf {
   double n1k_wall_s = 0;              // fastest trial
   double n1M_wall_s = 0;
   std::uint64_t n1M_peak_rss_kib = 0;
+  // Heap bytes per host a freshly constructed n=1M System holds.
+  double n1M_construct_bytes_per_host = 0;
   // Headline run-health numbers from the n=1M point's timeline (the
   // sampler is on for that run; its cost is part of n1M_wall_s, so the
   // report measures the instrumented configuration CI actually ships).
@@ -497,6 +501,19 @@ std::uint64_t vm_hwm_kib() {
   return kib;
 }
 
+/// Heap bytes per host held by a freshly constructed System (glibc
+/// mallinfo2: in-use arena bytes plus mmapped chunks, before and after).
+double construct_bytes_per_host(const harness::SystemOptions& opts) {
+  auto heap = [] {
+    const struct mallinfo2 mi = mallinfo2();
+    return mi.uordblks + mi.hblkhd;
+  };
+  const std::size_t before = heap();
+  auto sys = std::make_unique<harness::System>(opts);
+  const std::size_t after = heap();
+  return static_cast<double>(after - before) / opts.num_processes;
+}
+
 ScalePathPerf measure_scale_path() {
   ScalePathPerf out;
   {
@@ -515,6 +532,9 @@ ScalePathPerf measure_scale_path() {
   }
   {
     harness::ExperimentConfig cfg = scale_cfg(1000000);
+    // Construction alone first: it peaks well below the run, so VmHWM
+    // below still measures the run.
+    out.n1M_construct_bytes_per_host = construct_bytes_per_host(cfg.sys);
     cfg.capture_timeline = true;
     cfg.timeline_interval = sim::seconds(1);
     Clock::time_point t0 = Clock::now();
@@ -650,10 +670,11 @@ int main(int argc, char** argv) {
   // n=1k timing that follows it.
   ScalePathPerf sc = measure_scale_path();
   std::printf("scale path: n=1k best-of-%d %.0f deliveries/s (%.2fs), "
-              "n=1M %.2fs peak rss %llu KiB\n",
+              "n=1M %.2fs peak rss %llu KiB, %.0f B/host constructed\n",
               kScaleTrials, sc.n1k_deliveries_per_sec, sc.n1k_wall_s,
               sc.n1M_wall_s,
-              static_cast<unsigned long long>(sc.n1M_peak_rss_kib));
+              static_cast<unsigned long long>(sc.n1M_peak_rss_kib),
+              sc.n1M_construct_bytes_per_host);
   std::printf("scale timeline: n=1M rows=%llu peak queue=%llu "
               "in-flight=%lld blocked=%lld\n",
               static_cast<unsigned long long>(sc.n1M_timeline_rows),
@@ -720,6 +741,7 @@ int main(int argc, char** argv) {
                "    \"n1k_wall_s\": %.3f,\n"
                "    \"n1M_wall_s\": %.3f,\n"
                "    \"n1M_peak_rss_kib\": %llu,\n"
+               "    \"n1M_construct_bytes_per_host\": %.1f,\n"
                "    \"n1M_timeline_rows\": %llu,\n"
                "    \"n1M_peak_queue_depth\": %llu,\n"
                "    \"n1M_peak_in_flight\": %lld,\n"
@@ -737,6 +759,7 @@ int main(int argc, char** argv) {
                kScaleTrials, sc.n1k_deliveries_per_sec, sc.n1k_wall_s,
                sc.n1M_wall_s,
                static_cast<unsigned long long>(sc.n1M_peak_rss_kib),
+               sc.n1M_construct_bytes_per_host,
                static_cast<unsigned long long>(sc.n1M_timeline_rows),
                static_cast<unsigned long long>(sc.n1M_peak_queue_depth),
                static_cast<long long>(sc.n1M_peak_in_flight),
@@ -766,13 +789,15 @@ int main(int argc, char** argv) {
                  "\"checker_ratio_1000_over_10\":%.3f,"
                  "\"n1k_deliveries_per_sec\":%.1f,"
                  "\"n1M_wall_s\":%.3f,"
-                 "\"n1M_peak_rss_kib\":%llu}\n",
+                 "\"n1M_peak_rss_kib\":%llu,"
+                 "\"n1M_construct_bytes_per_host\":%.1f}\n",
                  sha, stamp, quick ? "true" : "false", host.nproc,
                  host.compiler, host.build_type, cur_eps, leg_eps,
                  speedup, cur_ape, st.sim_seconds_per_wall_second,
                  st.events_per_sec, sp.lanes1_overhead, ck.ratio,
                  sc.n1k_deliveries_per_sec, sc.n1M_wall_s,
-                 static_cast<unsigned long long>(sc.n1M_peak_rss_kib));
+                 static_cast<unsigned long long>(sc.n1M_peak_rss_kib),
+                 sc.n1M_construct_bytes_per_host);
     std::fclose(h);
     std::printf("appended %s\n", history_path);
   }

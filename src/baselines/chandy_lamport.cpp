@@ -7,7 +7,7 @@
 namespace mck::baselines {
 
 void ChandyLamportProtocol::start() {
-  marker_seen_.assign(static_cast<std::size_t>(ctx_.num_processes), 0);
+  marker_seen_.assign(static_cast<std::size_t>(ctx_->num_processes), 0);
 }
 
 std::shared_ptr<const rt::Payload>
@@ -25,19 +25,19 @@ void ChandyLamportProtocol::take_snapshot(ckpt::InitiationId init) {
   std::fill(marker_seen_.begin(), marker_seen_.end(), 0);
   marker_seen_[static_cast<std::size_t>(self())] = 1;  // no self channel
 
-  pending_ref_ = ctx_.store->take(self(), ckpt::CkptKind::kTentative, 0, init,
-                                  ctx_.log->cursor(self()), ctx_.sim->now());
-  ++ctx_.stats->tentative_taken;
-  ++ctx_.tracker->at(init).tentative;
+  pending_ref_ = ctx_->store->take(self(), ckpt::CkptKind::kTentative, 0, init,
+                                   ctx_->log->cursor(self()), ctx_->sim->now());
+  ++ctx_->stats->tentative_taken;
+  ++ctx_->tracker->at(init).tentative;
 
   // Send a marker on every outgoing channel: N-1 system messages per
   // process, O(N^2) total.
-  for (ProcessId k = 0; k < ctx_.num_processes; ++k) {
+  for (ProcessId k = 0; k < ctx_->num_processes; ++k) {
     if (k == self()) continue;
     auto mk = util::make_pooled<ClMarker>();
     mk->initiation = init;
     send_system(rt::MsgKind::kMarker, k, std::move(mk));
-    ++ctx_.tracker->at(init).requests;
+    ++ctx_->tracker->at(init).requests;
   }
 
   sim::SimTime done = start_stable_transfer();
@@ -62,22 +62,22 @@ void ChandyLamportProtocol::finish_recording() {
     auto dn = util::make_pooled<ClDone>();
     dn->initiation = init_;
     send_system(rt::MsgKind::kReply, initiator, std::move(dn));
-    ++ctx_.tracker->at(init_).replies;
+    ++ctx_->tracker->at(init_).replies;
   }
 }
 
 void ChandyLamportProtocol::maybe_commit() {
   if (init_ == 0 || ckpt::initiation_pid(init_) != self()) return;
   if (awaiting_done_ > 0 || !done_sent_) return;
-  ckpt::InitiationStats& st = ctx_.tracker->at(init_);
-  ctx_.tracker->mark_committed(st, ctx_.sim->now());
+  ckpt::InitiationStats& st = ctx_->tracker->at(init_);
+  ctx_->tracker->mark_committed(st, ctx_->sim->now());
   auto cm = util::make_pooled<ClCommit>();
   cm->initiation = init_;
   broadcast_system(rt::MsgKind::kCommit, cm);
-  st.commits += static_cast<std::uint64_t>(ctx_.num_processes - 1);
-  const ckpt::CheckpointRecord& rec = ctx_.store->get(pending_ref_);
-  ctx_.store->make_permanent(pending_ref_, ctx_.sim->now());
-  ++ctx_.stats->permanent_made;
+  st.commits += static_cast<std::uint64_t>(ctx_->num_processes - 1);
+  const ckpt::CheckpointRecord& rec = ctx_->store->get(pending_ref_);
+  ctx_->store->make_permanent(pending_ref_, ctx_->sim->now());
+  ++ctx_->stats->permanent_made;
   st.line_updates.emplace_back(self(), rec.event_cursor);
   pending_ref_ = ckpt::kNoCkpt;
   recording_ = false;
@@ -86,10 +86,10 @@ void ChandyLamportProtocol::maybe_commit() {
 
 void ChandyLamportProtocol::do_initiate() {
   if (coordination_active()) return;
-  ckpt::InitiationId init =
-      ckpt::make_initiation_id(self(), static_cast<Csn>(ctx_.sim->now() & 0xffffffff));
-  ctx_.tracker->open(init, self(), ctx_.sim->now());
-  awaiting_done_ = ctx_.num_processes;  // N-1 reports + our own
+  ckpt::InitiationId init = ckpt::make_initiation_id(
+      self(), static_cast<Csn>(ctx_->sim->now() & 0xffffffff));
+  ctx_->tracker->open(init, self(), ctx_->sim->now());
+  awaiting_done_ = ctx_->num_processes;  // N-1 reports + our own
   take_snapshot(init);
 }
 
@@ -106,7 +106,7 @@ void ChandyLamportProtocol::handle_system(const rt::Message& m) {
   switch (m.payload->tag()) {
     case rt::PayloadTag::kClMarker: {
       const auto* p = static_cast<const ClMarker*>(m.payload.get());
-      ctx_.tracker->at(p->initiation).last_request_at = ctx_.sim->now();
+      ctx_->tracker->at(p->initiation).last_request_at = ctx_->sim->now();
       if (!recording_ && init_ != p->initiation) {
         take_snapshot(p->initiation);
       }
@@ -126,10 +126,10 @@ void ChandyLamportProtocol::handle_system(const rt::Message& m) {
     case rt::PayloadTag::kClCommit: {
       const auto* p = static_cast<const ClCommit*>(m.payload.get());
       if (init_ != p->initiation || pending_ref_ == ckpt::kNoCkpt) return;
-      const ckpt::CheckpointRecord& rec = ctx_.store->get(pending_ref_);
-      ctx_.store->make_permanent(pending_ref_, ctx_.sim->now());
-      ++ctx_.stats->permanent_made;
-      ctx_.tracker->at(p->initiation)
+      const ckpt::CheckpointRecord& rec = ctx_->store->get(pending_ref_);
+      ctx_->store->make_permanent(pending_ref_, ctx_->sim->now());
+      ++ctx_->stats->permanent_made;
+      ctx_->tracker->at(p->initiation)
           .line_updates.emplace_back(self(), rec.event_cursor);
       pending_ref_ = ckpt::kNoCkpt;
       recording_ = false;

@@ -7,8 +7,8 @@
 namespace mck::baselines {
 
 void CsnSchemeProtocol::start() {
-  R_ = util::IntervalSet(static_cast<std::size_t>(ctx_.num_processes));
-  csn_.assign(static_cast<std::size_t>(ctx_.num_processes));
+  R_ = util::IntervalSet(static_cast<std::size_t>(ctx_->num_processes));
+  csn_.assign(static_cast<std::size_t>(ctx_->num_processes));
 }
 
 std::shared_ptr<const rt::Payload> CsnSchemeProtocol::computation_payload(
@@ -22,16 +22,16 @@ std::shared_ptr<const rt::Payload> CsnSchemeProtocol::computation_payload(
 void CsnSchemeProtocol::take_stable(ckpt::InitiationId init) {
   const Csn my_csn = csn_.bump(static_cast<std::size_t>(self()));
   ckpt::CkptRef ref =
-      ctx_.store->take(self(), ckpt::CkptKind::kTentative, my_csn, init,
-                       ctx_.log->cursor(self()), ctx_.sim->now());
-  ++ctx_.stats->tentative_taken;
-  if (init != 0) ++ctx_.tracker->at(init).tentative;
+      ctx_->store->take(self(), ckpt::CkptKind::kTentative, my_csn, init,
+                        ctx_->log->cursor(self()), ctx_->sim->now());
+  ++ctx_->stats->tentative_taken;
+  if (init != 0) ++ctx_->tracker->at(init).tentative;
 
   // No second phase: the checkpoint is durable once the transfer lands.
   sim::SimTime done = start_stable_transfer();
   schedule_timer_at(done, [this, ref]() {
-    ctx_.store->make_permanent(ref, ctx_.sim->now());
-    ++ctx_.stats->permanent_made;
+    ctx_->store->make_permanent(ref, ctx_->sim->now());
+    ++ctx_->stats->permanent_made;
   });
 
   // Propagate requests to our dependencies (only for explicit
@@ -44,7 +44,7 @@ void CsnSchemeProtocol::take_stable(ckpt::InitiationId init) {
       rq->initiation = init;
       rq->req_csn = csn_.get(ks);
       send_system(rt::MsgKind::kRequest, k, std::move(rq));
-      ++ctx_.tracker->at(init).requests;
+      ++ctx_->tracker->at(init).requests;
     });
   }
   sent_ = false;
@@ -54,7 +54,7 @@ void CsnSchemeProtocol::take_stable(ckpt::InitiationId init) {
 void CsnSchemeProtocol::do_initiate() {
   ckpt::InitiationId init = ckpt::make_initiation_id(
       self(), csn_.get(static_cast<std::size_t>(self())) + 1);
-  ctx_.tracker->open(init, self(), ctx_.sim->now());
+  ctx_->tracker->open(init, self(), ctx_->sim->now());
   take_stable(init);
 }
 
@@ -68,8 +68,8 @@ void CsnSchemeProtocol::handle_computation(const rt::Message& m) {
     if (must) {
       // Forced stable checkpoint before processing — avalanche link.
       ++forced_;
-      ++ctx_.stats->forced_by_message;
-      ++ctx_.stats->checkpoint_cascades;
+      ++ctx_->stats->forced_by_message;
+      ++ctx_->stats->checkpoint_cascades;
       take_stable(0);
     }
   }

@@ -22,11 +22,11 @@ void ElnozahyProtocol::take_checkpoint(Csn new_csn, ckpt::InitiationId init) {
                  "EJZ requires serialized initiations");
   csn_ = new_csn;
   pending_init_ = init;
-  pending_ref_ = ctx_.store->take(self(), ckpt::CkptKind::kTentative, csn_,
-                                  init, ctx_.log->cursor(self()),
-                                  ctx_.sim->now());
-  ++ctx_.stats->tentative_taken;
-  ++ctx_.tracker->at(init).tentative;
+  pending_ref_ = ctx_->store->take(self(), ckpt::CkptKind::kTentative, csn_,
+                                   init, ctx_->log->cursor(self()),
+                                   ctx_->sim->now());
+  ++ctx_->stats->tentative_taken;
+  ++ctx_->tracker->at(init).tentative;
 
   const ProcessId initiator = ckpt::initiation_pid(init);
   sim::SimTime done = start_stable_transfer();
@@ -36,13 +36,14 @@ void ElnozahyProtocol::take_checkpoint(Csn new_csn, ckpt::InitiationId init) {
       transfer_done_ = true;
       if (awaiting_replies_ == 0) {
         // Degenerate single-process case.
-        ctx_.tracker->mark_committed(ctx_.tracker->at(init), ctx_.sim->now());
+        ctx_->tracker->mark_committed(ctx_->tracker->at(init),
+                                      ctx_->sim->now());
       }
     } else {
       auto rp = util::make_pooled<EjReply>();
       rp->initiation = init;
       send_system(rt::MsgKind::kReply, initiator, std::move(rp));
-      ++ctx_.tracker->at(init).replies;
+      ++ctx_->tracker->at(init).replies;
     }
   });
 }
@@ -51,8 +52,8 @@ void ElnozahyProtocol::do_initiate() {
   if (coordination_active()) return;
   Csn c = csn_ + 1;
   ckpt::InitiationId init = ckpt::make_initiation_id(self(), c);
-  ctx_.tracker->open(init, self(), ctx_.sim->now());
-  awaiting_replies_ = ctx_.num_processes - 1;
+  ctx_->tracker->open(init, self(), ctx_->sim->now());
+  awaiting_replies_ = ctx_->num_processes - 1;
   transfer_done_ = false;
   take_checkpoint(c, init);
 
@@ -60,8 +61,8 @@ void ElnozahyProtocol::do_initiate() {
   rq->csn = c;
   rq->initiation = init;
   broadcast_system(rt::MsgKind::kRequest, rq);
-  ctx_.tracker->at(init).requests +=
-      static_cast<std::uint64_t>(ctx_.num_processes - 1);
+  ctx_->tracker->at(init).requests +=
+      static_cast<std::uint64_t>(ctx_->num_processes - 1);
 }
 
 void ElnozahyProtocol::handle_computation(const rt::Message& m) {
@@ -69,7 +70,7 @@ void ElnozahyProtocol::handle_computation(const rt::Message& m) {
   MCK_ASSERT(p != nullptr);
   if (p->csn > csn_) {
     // Forced checkpoint before processing — the csn rule of [13].
-    ++ctx_.stats->forced_by_message;
+    ++ctx_->stats->forced_by_message;
     take_checkpoint(p->csn, p->initiation);
   }
   process_computation(m);
@@ -80,7 +81,7 @@ void ElnozahyProtocol::handle_system(const rt::Message& m) {
   switch (m.payload->tag()) {
     case rt::PayloadTag::kEjRequest: {
       const auto* p = static_cast<const EjRequest*>(m.payload.get());
-      ctx_.tracker->at(p->initiation).last_request_at = ctx_.sim->now();
+      ctx_->tracker->at(p->initiation).last_request_at = ctx_->sim->now();
       take_checkpoint(p->csn, p->initiation);
       break;
     }
@@ -89,16 +90,16 @@ void ElnozahyProtocol::handle_system(const rt::Message& m) {
       if (pending_init_ != p->initiation) return;
       MCK_ASSERT(awaiting_replies_ > 0);
       if (--awaiting_replies_ == 0 && transfer_done_) {
-        ckpt::InitiationStats& st = ctx_.tracker->at(p->initiation);
-        ctx_.tracker->mark_committed(st, ctx_.sim->now());
+        ckpt::InitiationStats& st = ctx_->tracker->at(p->initiation);
+        ctx_->tracker->mark_committed(st, ctx_->sim->now());
         auto cm = util::make_pooled<EjCommit>();
         cm->initiation = p->initiation;
         broadcast_system(rt::MsgKind::kCommit, cm);
-        st.commits += static_cast<std::uint64_t>(ctx_.num_processes - 1);
+        st.commits += static_cast<std::uint64_t>(ctx_->num_processes - 1);
         // Local commit.
-        const ckpt::CheckpointRecord& rec = ctx_.store->get(pending_ref_);
-        ctx_.store->make_permanent(pending_ref_, ctx_.sim->now());
-        ++ctx_.stats->permanent_made;
+        const ckpt::CheckpointRecord& rec = ctx_->store->get(pending_ref_);
+        ctx_->store->make_permanent(pending_ref_, ctx_->sim->now());
+        ++ctx_->stats->permanent_made;
         st.line_updates.emplace_back(self(), rec.event_cursor);
         pending_init_ = 0;
         pending_ref_ = ckpt::kNoCkpt;
@@ -108,10 +109,10 @@ void ElnozahyProtocol::handle_system(const rt::Message& m) {
     case rt::PayloadTag::kEjCommit: {
       const auto* p = static_cast<const EjCommit*>(m.payload.get());
       if (pending_init_ != p->initiation) return;
-      const ckpt::CheckpointRecord& rec = ctx_.store->get(pending_ref_);
-      ctx_.store->make_permanent(pending_ref_, ctx_.sim->now());
-      ++ctx_.stats->permanent_made;
-      ctx_.tracker->at(p->initiation)
+      const ckpt::CheckpointRecord& rec = ctx_->store->get(pending_ref_);
+      ctx_->store->make_permanent(pending_ref_, ctx_->sim->now());
+      ++ctx_->stats->permanent_made;
+      ctx_->tracker->at(p->initiation)
           .line_updates.emplace_back(self(), rec.event_cursor);
       pending_init_ = 0;
       pending_ref_ = ckpt::kNoCkpt;

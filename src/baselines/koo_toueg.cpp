@@ -10,12 +10,12 @@
 namespace mck::baselines {
 
 void KooTouegProtocol::start() {
-  R_ = util::BitVec(static_cast<std::size_t>(ctx_.num_processes));
-  csn_.assign(static_cast<std::size_t>(ctx_.num_processes), 0);
+  R_ = util::BitVec(static_cast<std::size_t>(ctx_->num_processes));
+  csn_.assign(static_cast<std::size_t>(ctx_->num_processes), 0);
 }
 
 ckpt::InitiationStats& KooTouegProtocol::stats_of(ckpt::InitiationId init) {
-  return ctx_.tracker->at(init);
+  return ctx_->tracker->at(init);
 }
 
 std::shared_ptr<const rt::Payload> KooTouegProtocol::computation_payload(
@@ -38,7 +38,7 @@ void KooTouegProtocol::handle_computation(const rt::Message& m) {
 void KooTouegProtocol::do_initiate() {
   if (coordinating_) return;
   ckpt::InitiationId init = ckpt::make_initiation_id(self(), own_csn_ + 1);
-  ctx_.tracker->open(init, self(), ctx_.sim->now());
+  ctx_->tracker->open(init, self(), ctx_->sim->now());
   take_tentative_and_propagate(init, kInvalidProcess);
 }
 
@@ -54,9 +54,9 @@ void KooTouegProtocol::take_tentative_and_propagate(ckpt::InitiationId init,
   c.saved_sent = sent_;
 
   ++own_csn_;
-  c.ref = ctx_.store->take(self(), ckpt::CkptKind::kTentative, own_csn_, init,
-                           ctx_.log->cursor(self()), ctx_.sim->now());
-  ++ctx_.stats->tentative_taken;
+  c.ref = ctx_->store->take(self(), ckpt::CkptKind::kTentative, own_csn_, init,
+                            ctx_->log->cursor(self()), ctx_->sim->now());
+  ++ctx_->stats->tentative_taken;
   ckpt::InitiationStats& st = stats_of(init);
   ++st.tentative;
 
@@ -66,7 +66,7 @@ void KooTouegProtocol::take_tentative_and_propagate(ckpt::InitiationId init,
 
   // Propagate to every dependency (no MR filtering — the O(Nmin * Ndep)
   // message behaviour of Table 1).
-  for (ProcessId k = 0; k < ctx_.num_processes; ++k) {
+  for (ProcessId k = 0; k < ctx_->num_processes; ++k) {
     if (k == self() || !R_.test(static_cast<std::size_t>(k))) continue;
     auto rq = util::make_pooled<KtRequest>();
     rq->initiation = init;
@@ -99,7 +99,7 @@ void KooTouegProtocol::maybe_reply() {
   c.reply_sent = true;
   if (c.parent == kInvalidProcess) {
     // We are the initiator: phase 2 — commit down the tree.
-    ctx_.tracker->mark_committed(stats_of(c.initiation), ctx_.sim->now());
+    ctx_->tracker->mark_committed(stats_of(c.initiation), ctx_->sim->now());
     finish_commit(c.initiation);
   } else {
     auto rp = util::make_pooled<KtReply>();
@@ -115,12 +115,12 @@ void KooTouegProtocol::finish_commit(ckpt::InitiationId init) {
   coord_.reset();
   coordinating_ = false;
 
-  const ckpt::CheckpointRecord& rec = ctx_.store->get(c.ref);
-  ctx_.store->make_permanent(c.ref, ctx_.sim->now());
-  ++ctx_.stats->permanent_made;
+  const ckpt::CheckpointRecord& rec = ctx_->store->get(c.ref);
+  ctx_->store->make_permanent(c.ref, ctx_->sim->now());
+  ++ctx_->stats->permanent_made;
   ckpt::InitiationStats& st = stats_of(init);
   st.line_updates.emplace_back(self(), rec.event_cursor);
-  st.blocked_time += ctx_.sim->now() - rec.taken_at;
+  st.blocked_time += ctx_->sim->now() - rec.taken_at;
 
   for (ProcessId child : c.children) {
     auto cm = util::make_pooled<KtCommit>();
@@ -131,12 +131,41 @@ void KooTouegProtocol::finish_commit(ckpt::InitiationId init) {
   unblock();
 }
 
+void KooTouegProtocol::block() {
+  if (blocked_) return;
+  blocked_ = true;
+  blocked_since_ = ctx_->sim->now();
+  if (ctx_->timeline != nullptr) ++ctx_->timeline->blocked;
+  trace(obs::TraceKind::kBlock, 0, 0, 0, 0);
+}
+
+void KooTouegProtocol::unblock() {
+  if (!blocked_) return;
+  blocked_ = false;
+  if (ctx_->timeline != nullptr) --ctx_->timeline->blocked;
+  sim::SimTime blocked_for = ctx_->sim->now() - blocked_since_;
+  ctx_->stats->blocked_time_total += blocked_for;
+  trace(obs::TraceKind::kUnblock, 0, 0,
+        static_cast<std::uint64_t>(blocked_for), 0);
+  blocked_since_ = -1;
+  std::vector<ProcessId> pending;
+  pending.swap(deferred_sends_);
+  for (ProcessId dst : pending) {
+    send_computation(dst);
+  }
+}
+
+void KooTouegProtocol::defer_computation(ProcessId dst) {
+  deferred_sends_.push_back(dst);
+  ++ctx_->stats->blocked_sends_deferred;
+}
+
 void KooTouegProtocol::handle_system(const rt::Message& m) {
   MCK_ASSERT(m.payload != nullptr);
   switch (m.payload->tag()) {
     case rt::PayloadTag::kKtRequest: {
       const auto* p = static_cast<const KtRequest*>(m.payload.get());
-      ctx_.tracker->at(p->initiation).last_request_at = ctx_.sim->now();
+      ctx_->tracker->at(p->initiation).last_request_at = ctx_->sim->now();
       if (coordinating_) {
         // Already part of this coordination (dependency cycles) — answer
         // immediately so the tree unwinds.

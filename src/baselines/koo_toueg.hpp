@@ -36,6 +36,7 @@ class KooTouegProtocol final : public rt::CheckpointProtocol {
       ProcessId dst) override;
   void handle_computation(const rt::Message& m) override;
   void handle_system(const rt::Message& m) override;
+  void defer_computation(ProcessId dst) override;
 
  private:
   struct Coordination {
@@ -57,12 +58,20 @@ class KooTouegProtocol final : public rt::CheckpointProtocol {
 
   ckpt::InitiationStats& stats_of(ckpt::InitiationId init);
 
+  /// Suppresses the underlying computation (sends are deferred) from the
+  /// tentative checkpoint until the commit; unblock() replays the
+  /// deferred sends in submission order.
+  void block();
+  void unblock();
+
   util::BitVec R_;
   std::vector<Csn> csn_;  // csn_[j]: last csn seen from P_j
   Csn own_csn_ = 0;       // our stable-checkpoint count
   bool sent_ = false;
   bool coordinating_ = false;
   std::optional<Coordination> coord_;
+  sim::SimTime blocked_since_ = -1;
+  std::vector<ProcessId> deferred_sends_;
 };
 
 }  // namespace mck::baselines

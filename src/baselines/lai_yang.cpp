@@ -21,11 +21,11 @@ void LaiYangProtocol::take_snapshot(Csn new_round, ckpt::InitiationId init) {
   round_ = new_round;
   pending_init_ = init;
   channel_state_msgs_ = 0;
-  pending_ref_ = ctx_.store->take(self(), ckpt::CkptKind::kTentative, round_,
-                                  init, ctx_.log->cursor(self()),
-                                  ctx_.sim->now());
-  ++ctx_.stats->tentative_taken;
-  ++ctx_.tracker->at(init).tentative;
+  pending_ref_ = ctx_->store->take(self(), ckpt::CkptKind::kTentative, round_,
+                                   init, ctx_->log->cursor(self()),
+                                   ctx_->sim->now());
+  ++ctx_->stats->tentative_taken;
+  ++ctx_->tracker->at(init).tentative;
 
   const ProcessId initiator = ckpt::initiation_pid(init);
   sim::SimTime done = start_stable_transfer();
@@ -39,7 +39,7 @@ void LaiYangProtocol::take_snapshot(Csn new_round, ckpt::InitiationId init) {
     auto rp = util::make_pooled<LyReply>();
     rp->initiation = init;
     send_system(rt::MsgKind::kReply, initiator, std::move(rp));
-    ++ctx_.tracker->at(init).replies;
+    ++ctx_->tracker->at(init).replies;
   });
 }
 
@@ -47,15 +47,15 @@ void LaiYangProtocol::maybe_commit(ckpt::InitiationId init) {
   if (pending_init_ != init || awaiting_replies_ > 0 || !transfer_done_) {
     return;
   }
-  ckpt::InitiationStats& st = ctx_.tracker->at(init);
-  ctx_.tracker->mark_committed(st, ctx_.sim->now());
+  ckpt::InitiationStats& st = ctx_->tracker->at(init);
+  ctx_->tracker->mark_committed(st, ctx_->sim->now());
   auto cm = util::make_pooled<LyCommit>();
   cm->initiation = init;
   broadcast_system(rt::MsgKind::kCommit, cm);
-  st.commits += static_cast<std::uint64_t>(ctx_.num_processes - 1);
-  const ckpt::CheckpointRecord& rec = ctx_.store->get(pending_ref_);
-  ctx_.store->make_permanent(pending_ref_, ctx_.sim->now());
-  ++ctx_.stats->permanent_made;
+  st.commits += static_cast<std::uint64_t>(ctx_->num_processes - 1);
+  const ckpt::CheckpointRecord& rec = ctx_->store->get(pending_ref_);
+  ctx_->store->make_permanent(pending_ref_, ctx_->sim->now());
+  ++ctx_->stats->permanent_made;
   st.line_updates.emplace_back(self(), rec.event_cursor);
   pending_init_ = 0;
   pending_ref_ = ckpt::kNoCkpt;
@@ -65,16 +65,16 @@ void LaiYangProtocol::do_initiate() {
   if (coordination_active()) return;
   Csn next = round_ + 1;
   ckpt::InitiationId init = ckpt::make_initiation_id(self(), next);
-  ctx_.tracker->open(init, self(), ctx_.sim->now());
-  awaiting_replies_ = ctx_.num_processes - 1;
+  ctx_->tracker->open(init, self(), ctx_->sim->now());
+  awaiting_replies_ = ctx_->num_processes - 1;
   transfer_done_ = false;
   take_snapshot(next, init);
   auto an = util::make_pooled<LyAnnounce>();
   an->round = next;
   an->initiation = init;
   broadcast_system(rt::MsgKind::kRequest, an);
-  ctx_.tracker->at(init).requests +=
-      static_cast<std::uint64_t>(ctx_.num_processes - 1);
+  ctx_->tracker->at(init).requests +=
+      static_cast<std::uint64_t>(ctx_->num_processes - 1);
 }
 
 void LaiYangProtocol::handle_computation(const rt::Message& m) {
@@ -83,7 +83,7 @@ void LaiYangProtocol::handle_computation(const rt::Message& m) {
   if (p->round > round_) {
     // A red message reaching a white process: snapshot before processing
     // — the flag rule of [21]; works without FIFO channels.
-    ++ctx_.stats->forced_by_message;
+    ++ctx_->stats->forced_by_message;
     take_snapshot(p->round, p->initiation);
   } else if (p->round < round_) {
     // A white message reaching a red process: it crossed the cut and
@@ -98,7 +98,7 @@ void LaiYangProtocol::handle_system(const rt::Message& m) {
   switch (m.payload->tag()) {
     case rt::PayloadTag::kLyAnnounce: {
       const auto* p = static_cast<const LyAnnounce*>(m.payload.get());
-      ctx_.tracker->at(p->initiation).last_request_at = ctx_.sim->now();
+      ctx_->tracker->at(p->initiation).last_request_at = ctx_->sim->now();
       take_snapshot(p->round, p->initiation);
       break;
     }
@@ -112,10 +112,10 @@ void LaiYangProtocol::handle_system(const rt::Message& m) {
     case rt::PayloadTag::kLyCommit: {
       const auto* p = static_cast<const LyCommit*>(m.payload.get());
       if (pending_init_ != p->initiation) return;
-      const ckpt::CheckpointRecord& rec = ctx_.store->get(pending_ref_);
-      ctx_.store->make_permanent(pending_ref_, ctx_.sim->now());
-      ++ctx_.stats->permanent_made;
-      ctx_.tracker->at(p->initiation)
+      const ckpt::CheckpointRecord& rec = ctx_->store->get(pending_ref_);
+      ctx_->store->make_permanent(pending_ref_, ctx_->sim->now());
+      ++ctx_->stats->permanent_made;
+      ctx_->tracker->at(p->initiation)
           .line_updates.emplace_back(self(), rec.event_cursor);
       pending_init_ = 0;
       pending_ref_ = ckpt::kNoCkpt;

@@ -17,6 +17,7 @@
 #include "obs/timeline.hpp"
 #include "obs/trace.hpp"
 #include "sim/time.hpp"
+#include "util/arena.hpp"
 #include "util/assert.hpp"
 #include "util/types.hpp"
 
@@ -87,6 +88,11 @@ struct CheckpointRecord {
 
 class CheckpointStore {
  public:
+  /// One process's checkpoint history, oldest first. Inline up to two
+  /// refs: an idle process holds only its implicit initial checkpoint,
+  /// which a std::vector would keep in a 32-B heap chunk of its own.
+  using History = util::SmallVec<CkptRef, 2>;
+
   explicit CheckpointStore(int num_processes)
       : by_process_(static_cast<std::size_t>(num_processes)) {
     // Every process has an implicit initial (permanent) checkpoint with
@@ -244,7 +250,7 @@ class CheckpointStore {
     }
   }
 
-  const std::vector<CkptRef>& of_process(ProcessId pid) const {
+  const History& of_process(ProcessId pid) const {
     return by_process_[static_cast<std::size_t>(pid)];
   }
 
@@ -331,7 +337,7 @@ class CheckpointStore {
   }
 
   std::vector<CheckpointRecord> all_;
-  std::vector<std::vector<CkptRef>> by_process_;
+  std::vector<History> by_process_;
   std::size_t peak_occupancy_ = 0;
   bool auto_gc_ = false;
   obs::Tracer* tracer_ = nullptr;

@@ -23,41 +23,40 @@ std::uint64_t weight_bits(const Weight& w) {
 
 }  // namespace
 
-CaoSinghalProtocol::CaoSinghalProtocol(CaoSinghalOptions opts)
-    : opts_(opts) {}
-
 void CaoSinghalProtocol::start() {
-  const int n = ctx_.num_processes;
+  const int n = ctx_->num_processes;
   MCK_ASSERT(n > 0);
+  MCK_ASSERT_MSG(ctx_->algorithm != nullptr,
+                 "Cao-Singhal needs the run's CaoSinghalShared");
   R_ = IntervalSet(static_cast<std::size_t>(n));
   csn_.assign(static_cast<std::size_t>(n));
   dep_csn_.assign(static_cast<std::size_t>(n));
-  if (ctx_.arena != nullptr) {
+  if (ctx_->arena != nullptr) {
     // Long-lived sparse state spills into the region arena. Payload
     // copies built from these (reply deps, request MRs) stay heap-backed:
     // SmallVec copies never inherit the source arena.
-    R_.set_arena(ctx_.arena);
-    csn_.set_arena(ctx_.arena);
-    dep_csn_.set_arena(ctx_.arena);
+    R_.set_arena(ctx_->arena);
+    csn_.set_arena(ctx_->arena);
+    dep_csn_.set_arena(ctx_->arena);
   }
   own_trigger_ = Trigger{self(), 0};
 }
 
 ckpt::InitiationStats& CaoSinghalProtocol::init_stats(const Trigger& t) {
-  return ctx_.tracker->at(t.initiation());
+  return ctx_->tracker->at(t.initiation());
 }
 
 void CaoSinghalProtocol::schedule_pending_reap(const Trigger& trigger) {
-  if (opts_.decision_timeout <= 0) return;
-  schedule_timer_after(2 * opts_.decision_timeout, [this, trigger]() {
+  if (opts().decision_timeout <= 0) return;
+  schedule_timer_after(2 * opts().decision_timeout, [this, trigger]() {
     if (initiation_terminated(trigger.initiation())) return;
-    for (const PendingTentative& pt : pending_) {
+    for (const PendingTentative& pt : part_->pending) {
       if (pt.trigger == trigger) {
         // The initiation's decision never reached us: its initiator is
         // gone (Section 3.6). Abort locally; the abort restores R/sent so
         // later initiations see (and re-propagate) the dependencies that
         // were stashed in this tentative.
-        ++ctx_.stats->pending_reaped;
+        ++ctx_->stats->pending_reaped;
         handle_abort(trigger);
         return;
       }
@@ -70,42 +69,48 @@ void CaoSinghalProtocol::on_disconnect() {
   // disconnect_checkpoint_i before leaving (one 512 KB transfer). While
   // disconnected no events occur at the process, so this record stays a
   // faithful image of its state for the whole disconnect interval.
-  ctx_.store->take(self(), ckpt::CkptKind::kDisconnect,
-                   csn_.get(static_cast<std::size_t>(self())), 0,
-                   ctx_.log->cursor(self()), ctx_.sim->now());
+  ctx_->store->take(self(), ckpt::CkptKind::kDisconnect,
+                    csn_.get(static_cast<std::size_t>(self())), 0,
+                    ctx_->log->cursor(self()), ctx_->sim->now());
   (void)start_stable_transfer();
   note_coordination();
 }
 
 IntervalSet CaoSinghalProtocol::effective_R() const {
   IntervalSet r = R_;
-  for (const MutableRec& m : mutables_) r.merge(m.saved_R);
+  if (!part_) return r;
+  for (const MutableRec& m : part_->mutables) r.merge(m.saved_R);
   return r;
 }
 
 bool CaoSinghalProtocol::effective_sent() const {
   if (sent_) return true;
-  for (const MutableRec& m : mutables_) {
+  if (!part_) return false;
+  for (const MutableRec& m : part_->mutables) {
     if (m.saved_sent) return true;
   }
   return false;
 }
 
 int CaoSinghalProtocol::find_mutable(const Trigger& trigger) const {
-  for (std::size_t i = 0; i < mutables_.size(); ++i) {
-    if (mutables_[i].trigger == trigger) return static_cast<int>(i);
+  if (!part_) return -1;
+  const std::vector<MutableRec>& muts = part_->mutables;
+  for (std::size_t i = 0; i < muts.size(); ++i) {
+    if (muts[i].trigger == trigger) return static_cast<int>(i);
   }
   return -1;
 }
 
 void CaoSinghalProtocol::discard_mutables_matching(const Trigger& trigger,
                                                    bool merge_back) {
-  for (std::size_t i = 0; i < mutables_.size();) {
-    if (mutables_[i].trigger == trigger) {
-      MutableRec rec = mutables_[i];
-      mutables_.erase(mutables_.begin() + static_cast<std::ptrdiff_t>(i));
-      ctx_.store->discard(rec.ref);
-      ++ctx_.stats->mutable_discarded;
+  if (!part_) return;
+  std::vector<MutableRec>& muts = part_->mutables;
+  for (std::size_t i = 0; i < muts.size();) {
+    if (muts[i].trigger == trigger) {
+      MutableRec rec = muts[i];
+      muts.erase(muts.begin() + static_cast<std::ptrdiff_t>(i));
+      ctx_->store->discard(rec.ref);
+      ++ctx_->stats->mutable_discarded;
       ++init_stats(rec.trigger).mutables_discarded;
       if (merge_back) {
         // Paper: "sent_j := sent_j ∪ CP_j.sent; R_j := R_j ∪ CP_j.R".
@@ -119,11 +124,13 @@ void CaoSinghalProtocol::discard_mutables_matching(const Trigger& trigger,
 }
 
 void CaoSinghalProtocol::discard_all_mutables(bool merge_back) {
-  while (!mutables_.empty()) {
-    MutableRec rec = mutables_.back();
-    mutables_.pop_back();
-    ctx_.store->discard(rec.ref);
-    ++ctx_.stats->mutable_discarded;
+  if (!part_) return;
+  std::vector<MutableRec>& muts = part_->mutables;
+  while (!muts.empty()) {
+    MutableRec rec = muts.back();
+    muts.pop_back();
+    ctx_->store->discard(rec.ref);
+    ++ctx_->stats->mutable_discarded;
     ++init_stats(rec.trigger).mutables_discarded;
     if (merge_back) {
       R_.merge(rec.saved_R);
@@ -143,10 +150,11 @@ std::shared_ptr<const rt::Payload> CaoSinghalProtocol::computation_payload(
   if (cp_state_) {
     p->trigger = own_trigger_;
     // Update-approach history (Section 3.3.5).
-    if (opts_.commit_mode != CommitMode::kBroadcast &&
-        std::find(cp_send_history_.begin(), cp_send_history_.end(), dst) ==
-            cp_send_history_.end()) {
-      cp_send_history_.push_back(dst);
+    if (opts().commit_mode != CommitMode::kBroadcast) {
+      std::vector<ProcessId>& hist = pst().cp_send_history;
+      if (std::find(hist.begin(), hist.end(), dst) == hist.end()) {
+        hist.push_back(dst);
+      }
     }
   }
   sent_ = true;
@@ -166,13 +174,13 @@ void CaoSinghalProtocol::do_initiate() {
   const Trigger t = own_trigger_;
 
   ckpt::InitiationStats& st =
-      ctx_.tracker->open(t.initiation(), me, ctx_.sim->now());
+      ctx_->tracker->open(t.initiation(), me, ctx_->sim->now());
   (void)st;
 
   active_initiator_ = true;
   // The full unit of weight leaves the initiator with the request wave;
   // the outstanding gauge drains as portions are banked or returned.
-  if (ctx_.timeline != nullptr) ctx_.timeline->outstanding_weight += 1.0;
+  if (ctx_->timeline != nullptr) ctx_->timeline->outstanding_weight += 1.0;
   InitiatorState& is = ist();
   is.acc_weight = Weight::zero();
   is.self_weight_banked = false;
@@ -184,10 +192,11 @@ void CaoSinghalProtocol::do_initiate() {
   SparseMr mr;
   mr.put(static_cast<std::size_t>(me), MrEntry{inum, 1});
 
-  MCK_TRACE("[t=%.3fms] P%d initiates %s", sim::to_milliseconds(ctx_.sim->now()),
-            me, t.to_string().c_str());
-  if (opts_.decision_timeout > 0) {
-    schedule_timer_after(opts_.decision_timeout, [this, t]() {
+  MCK_TRACE("[t=%.3fms] P%d initiates %s",
+            sim::to_milliseconds(ctx_->sim->now()), me,
+            t.to_string().c_str());
+  if (opts().decision_timeout > 0) {
+    schedule_timer_after(opts().decision_timeout, [this, t]() {
       if (active_initiator_ && own_trigger_ == t) initiator_abort();
     });
   }
@@ -222,18 +231,18 @@ Weight CaoSinghalProtocol::prop_cp(const IntervalSet& deps,
     // sent P_k a request with req_csn >= (the csn of the interval in which
     // our dependency on P_k was created).
     const bool covered = in.requested != 0 && in.csn >= dep_csn_.get(ks);
-    if (opts_.mr_filter && covered) return;
+    if (opts().mr_filter && covered) return;
 
-    if (!ctx_.net->reachable(k)) {
+    if (!ctx_->net->reachable(k)) {
       // Section 3.6: "some processes that try to communicate with it get
       // to know of the failure" and notify the initiator.
-      if (opts_.failure_mode == FailureMode::kPartialCommit) {
+      if (opts().failure_mode == FailureMode::kPartialCommit) {
         // Kim-Park: keep going; the initiator decides at termination who
         // commits and who aborts.
         if (trigger.pid == self()) {
           ist().init_failed.push_back(k);
         } else {
-          observed_failures_.push_back(k);
+          pst().observed_failures.push_back(k);
         }
       } else if (trigger.pid == self()) {
         schedule_timer_after(0, [this, trigger]() {
@@ -248,10 +257,10 @@ Weight CaoSinghalProtocol::prop_cp(const IntervalSet& deps,
     }
 
     weight.halve();
-    if (ctx_.tracer != nullptr) {
-      ctx_.tracer->record(obs::TraceKind::kWeightSplit, ctx_.sim->now(),
-                          self(), 0, static_cast<std::uint16_t>(k),
-                          trigger.initiation(), weight_bits(weight));
+    if (ctx_->tracer != nullptr) {
+      ctx_->tracer->record(obs::TraceKind::kWeightSplit, ctx_->sim->now(),
+                           self(), 0, static_cast<std::uint16_t>(k),
+                           trigger.initiation(), weight_bits(weight));
     }
     auto rp = util::make_pooled<RequestPayload>();
     rp->mr = temp;
@@ -262,7 +271,7 @@ Weight CaoSinghalProtocol::prop_cp(const IntervalSet& deps,
     send_system(rt::MsgKind::kRequest, k, std::move(rp));
     ++st.requests;
     MCK_TRACE("[t=%.3fms] P%d -> P%d request %s req_csn=%u",
-              sim::to_milliseconds(ctx_.sim->now()), self(), k,
+              sim::to_milliseconds(ctx_->sim->now()), self(), k,
               trigger.to_string().c_str(), dep_csn_.get(ks));
   });
   return weight;
@@ -283,11 +292,11 @@ void CaoSinghalProtocol::take_tentative(const Trigger& trigger,
 
   Weight remaining = prop_cp(pt.saved_R, mr, trigger, weight);
 
-  pt.ref = ctx_.store->take(self(), ckpt::CkptKind::kTentative,
-                            csn_.get(static_cast<std::size_t>(self())),
-                            trigger.initiation(), ctx_.log->cursor(self()),
-                            ctx_.sim->now());
-  ++ctx_.stats->tentative_taken;
+  pt.ref = ctx_->store->take(self(), ckpt::CkptKind::kTentative,
+                             csn_.get(static_cast<std::size_t>(self())),
+                             trigger.initiation(), ctx_->log->cursor(self()),
+                             ctx_->sim->now());
+  ++ctx_->stats->tentative_taken;
   ++init_stats(trigger).tentative;
 
   old_csn_ = csn_.get(static_cast<std::size_t>(self()));
@@ -296,7 +305,7 @@ void CaoSinghalProtocol::take_tentative(const Trigger& trigger,
   discard_all_mutables(/*merge_back=*/false);
   sent_ = false;
   R_.reset();
-  pending_.push_back(pt);
+  pst().pending.push_back(pt);
   schedule_pending_reap(trigger);
 
   // The checkpoint data must reach stable storage before the reply /
@@ -310,7 +319,7 @@ void CaoSinghalProtocol::take_tentative(const Trigger& trigger,
     schedule_timer_at(done, [this, trigger, remaining]() {
       // Abort may have raced with the transfer; only reply if the
       // tentative is still pending.
-      for (const PendingTentative& p : pending_) {
+      for (const PendingTentative& p : part_->pending) {
         if (p.trigger == trigger) {
           send_reply(trigger, remaining, false);
           return;
@@ -322,16 +331,17 @@ void CaoSinghalProtocol::take_tentative(const Trigger& trigger,
 
 void CaoSinghalProtocol::promote_mutable(std::size_t idx,
                                          const SparseMr& mr, Weight weight) {
-  MutableRec rec = mutables_[static_cast<std::size_t>(idx)];
+  std::vector<MutableRec>& muts = part_->mutables;
+  MutableRec rec = muts[idx];
   const Trigger trigger = rec.trigger;
 
   // Dependencies of the promoted state: everything recorded up to and
   // including this mutable (older mutables are part of its state).
-  IntervalSet deps(static_cast<std::size_t>(ctx_.num_processes));
+  IntervalSet deps(static_cast<std::size_t>(ctx_->num_processes));
   bool deps_sent = false;
   for (std::size_t i = 0; i <= idx; ++i) {
-    deps.merge(mutables_[i].saved_R);
-    deps_sent = deps_sent || mutables_[i].saved_sent;
+    deps.merge(muts[i].saved_R);
+    deps_sent = deps_sent || muts[i].saved_sent;
   }
 
   PendingTentative pt;
@@ -343,9 +353,9 @@ void CaoSinghalProtocol::promote_mutable(std::size_t idx,
 
   Weight remaining = prop_cp(deps, mr, trigger, weight);
 
-  ctx_.store->promote_to_tentative(rec.ref, trigger.initiation(),
-                                   ctx_.sim->now());
-  ++ctx_.stats->mutable_promoted;
+  ctx_->store->promote_to_tentative(rec.ref, trigger.initiation(),
+                                    ctx_->sim->now());
+  ++ctx_->stats->mutable_promoted;
   ckpt::InitiationStats& st = init_stats(trigger);
   ++st.mutables_promoted;
   ++st.tentative;  // it is now a tentative checkpoint of this initiation
@@ -354,19 +364,19 @@ void CaoSinghalProtocol::promote_mutable(std::size_t idx,
   // Older mutables are consumed by the promotion (no merge back: their
   // dependencies are inside the promoted state and were propagated).
   for (std::size_t i = 0; i < idx; ++i) {
-    ctx_.store->discard(mutables_[i].ref);
-    ++ctx_.stats->mutable_discarded;
-    ++init_stats(mutables_[i].trigger).mutables_discarded;
+    ctx_->store->discard(muts[i].ref);
+    ++ctx_->stats->mutable_discarded;
+    ++init_stats(muts[i].trigger).mutables_discarded;
   }
-  mutables_.erase(mutables_.begin(),
-                  mutables_.begin() + static_cast<std::ptrdiff_t>(idx) + 1);
-  pending_.push_back(pt);
+  muts.erase(muts.begin(),
+             muts.begin() + static_cast<std::ptrdiff_t>(idx) + 1);
+  part_->pending.push_back(pt);
   schedule_pending_reap(trigger);
 
   // Promotion is the moment the checkpoint data crosses the wireless link.
   sim::SimTime done = start_stable_transfer();
   schedule_timer_at(done, [this, trigger, remaining]() {
-    for (const PendingTentative& p : pending_) {
+    for (const PendingTentative& p : part_->pending) {
       if (p.trigger == trigger) {
         send_reply(trigger, remaining, false);
         return;
@@ -380,18 +390,18 @@ void CaoSinghalProtocol::take_mutable(const Trigger& trigger) {
   rec.trigger = trigger;
   rec.saved_R = R_;
   rec.saved_sent = sent_;
-  rec.ref = ctx_.store->take(self(), ckpt::CkptKind::kMutable,
-                             csn_.get(static_cast<std::size_t>(self())),
-                             trigger.initiation(), ctx_.log->cursor(self()),
-                             ctx_.sim->now());
+  rec.ref = ctx_->store->take(self(), ckpt::CkptKind::kMutable,
+                              csn_.get(static_cast<std::size_t>(self())),
+                              trigger.initiation(), ctx_->log->cursor(self()),
+                              ctx_->sim->now());
   charge_mutable_save();
-  ++ctx_.stats->mutable_taken;
+  ++ctx_->stats->mutable_taken;
   ++init_stats(trigger).mutables_taken;
-  mutables_.push_back(std::move(rec));
+  pst().mutables.push_back(std::move(rec));
   sent_ = false;
   R_.reset();
   MCK_TRACE("[t=%.3fms] P%d takes MUTABLE checkpoint for %s",
-            sim::to_milliseconds(ctx_.sim->now()), self(),
+            sim::to_milliseconds(ctx_->sim->now()), self(),
             trigger.to_string().c_str());
 }
 
@@ -411,13 +421,13 @@ void CaoSinghalProtocol::send_reply(const Trigger& trigger, Weight weight,
   rp->trigger = trigger;
   rp->weight = std::move(weight);
   rp->refused = refused;
-  if (!observed_failures_.empty()) {
-    rp->failed_observed = std::move(observed_failures_);
-    observed_failures_.clear();
+  if (part_ && !part_->observed_failures.empty()) {
+    rp->failed_observed = std::move(part_->observed_failures);
+    part_->observed_failures.clear();
   }
-  if (opts_.failure_mode == FailureMode::kPartialCommit) {
+  if (opts().failure_mode == FailureMode::kPartialCommit && part_) {
     // Report our checkpoint's dependency vector for the abort closure.
-    for (const PendingTentative& pt : pending_) {
+    for (const PendingTentative& pt : part_->pending) {
       if (pt.trigger == trigger) {
         rp->deps = pt.saved_R;
         break;
@@ -430,15 +440,15 @@ void CaoSinghalProtocol::send_reply(const Trigger& trigger, Weight weight,
 
 void CaoSinghalProtocol::bank_local_weight(const Trigger& t, Weight w) {
   if (!active_initiator_ || own_trigger_ != t) return;  // aborted meanwhile
-  if (ctx_.timeline != nullptr) {
-    ctx_.timeline->outstanding_weight -= w.to_double();
+  if (ctx_->timeline != nullptr) {
+    ctx_->timeline->outstanding_weight -= w.to_double();
   }
   init_->acc_weight.add(w);
   init_->self_weight_banked = true;
-  if (ctx_.tracer != nullptr) {
-    ctx_.tracer->record(obs::TraceKind::kWeightReturn, ctx_.sim->now(),
-                        self(), 0, static_cast<std::uint16_t>(self()),
-                        t.initiation(), weight_bits(init_->acc_weight));
+  if (ctx_->tracer != nullptr) {
+    ctx_->tracer->record(obs::TraceKind::kWeightReturn, ctx_->sim->now(),
+                         self(), 0, static_cast<std::uint16_t>(self()),
+                         t.initiation(), weight_bits(init_->acc_weight));
   }
   initiator_decide_commit();
 }
@@ -460,14 +470,14 @@ void CaoSinghalProtocol::handle_reply(const rt::Message& m,
   if (p.deps.size() != 0) {
     is.replier_deps.emplace_back(m.src, p.deps);
   }
-  if (ctx_.timeline != nullptr) {
-    ctx_.timeline->outstanding_weight -= p.weight.to_double();
+  if (ctx_->timeline != nullptr) {
+    ctx_->timeline->outstanding_weight -= p.weight.to_double();
   }
   is.acc_weight.add(p.weight);
-  if (ctx_.tracer != nullptr) {
-    ctx_.tracer->record(obs::TraceKind::kWeightReturn, ctx_.sim->now(),
-                        self(), 0, static_cast<std::uint16_t>(m.src),
-                        own_trigger_.initiation(), weight_bits(is.acc_weight));
+  if (ctx_->tracer != nullptr) {
+    ctx_->tracer->record(obs::TraceKind::kWeightReturn, ctx_->sim->now(),
+                         self(), 0, static_cast<std::uint16_t>(m.src),
+                         own_trigger_.initiation(), weight_bits(is.acc_weight));
   }
   if (std::find(is.repliers.begin(), is.repliers.end(), m.src) ==
       is.repliers.end()) {
@@ -490,12 +500,12 @@ void CaoSinghalProtocol::initiator_decide_commit() {
   // be computed exactly.
   util::IntervalSet abort_set;
   if (!is.init_failed.empty()) {
-    if (opts_.failure_mode != FailureMode::kPartialCommit) {
+    if (opts().failure_mode != FailureMode::kPartialCommit) {
       initiator_abort();
       return;
     }
     abort_set =
-        util::IntervalSet(static_cast<std::size_t>(ctx_.num_processes));
+        util::IntervalSet(static_cast<std::size_t>(ctx_->num_processes));
     for (ProcessId f : is.init_failed) {
       abort_set.set(static_cast<std::size_t>(f));
     }
@@ -516,9 +526,9 @@ void CaoSinghalProtocol::initiator_decide_commit() {
     st.partial_commit = true;
   }
 
-  ctx_.tracker->mark_committed(st, ctx_.sim->now());
+  ctx_->tracker->mark_committed(st, ctx_->sim->now());
   MCK_TRACE("[t=%.3fms] P%d COMMITS %s%s (%u tentative, %u mutable, %u redundant)",
-            sim::to_milliseconds(ctx_.sim->now()), self(),
+            sim::to_milliseconds(ctx_->sim->now()), self(),
             t.to_string().c_str(), st.partial_commit ? " (partial)" : "",
             st.tentative, st.mutables_taken, st.mutables_discarded);
 
@@ -529,15 +539,15 @@ void CaoSinghalProtocol::initiator_decide_commit() {
 
   // Second phase (Section 3.3.4 / 3.3.5).
   const bool use_broadcast =
-      opts_.commit_mode == CommitMode::kBroadcast ||
-      (opts_.commit_mode == CommitMode::kHybrid &&
-       is.repliers.size() > opts_.hybrid_threshold);
+      opts().commit_mode == CommitMode::kBroadcast ||
+      (opts().commit_mode == CommitMode::kHybrid &&
+       is.repliers.size() > opts().hybrid_threshold);
   auto cp = util::make_pooled<CommitPayload>();
   cp->trigger = t;
   cp->abort_set = abort_set;
   if (use_broadcast) {
     broadcast_system(rt::MsgKind::kCommit, cp);
-    st.commits += static_cast<std::uint64_t>(ctx_.num_processes - 1);
+    st.commits += static_cast<std::uint64_t>(ctx_->num_processes - 1);
   } else {
     for (ProcessId p : is.repliers) {
       send_system(rt::MsgKind::kCommit, p, cp);
@@ -555,9 +565,9 @@ void CaoSinghalProtocol::initiator_abort() {
   if (!active_initiator_ || init_->abort_sent) return;
   const Trigger t = own_trigger_;
   InitiatorState& is = *init_;
-  if (ctx_.timeline != nullptr) {
+  if (ctx_->timeline != nullptr) {
     // Whatever portion never made it back is written off with the abort.
-    ctx_.timeline->outstanding_weight -= 1.0 - is.acc_weight.to_double();
+    ctx_->timeline->outstanding_weight -= 1.0 - is.acc_weight.to_double();
   }
   is.abort_sent = true;
   active_initiator_ = false;
@@ -565,14 +575,14 @@ void CaoSinghalProtocol::initiator_abort() {
   is.repliers.clear();
   is.init_failed.clear();
   is.replier_deps.clear();
-  observed_failures_.clear();
+  if (part_) part_->observed_failures.clear();
 
   ckpt::InitiationStats& st = init_stats(t);
-  ctx_.tracker->mark_aborted(st, ctx_.sim->now());
+  ctx_->tracker->mark_aborted(st, ctx_->sim->now());
   auto ap = util::make_pooled<AbortPayload>();
   ap->trigger = t;
   broadcast_system(rt::MsgKind::kAbort, ap);
-  st.aborts += static_cast<std::uint64_t>(ctx_.num_processes - 1);
+  st.aborts += static_cast<std::uint64_t>(ctx_->num_processes - 1);
   handle_abort(t);
   if (is.on_initiation_done) is.on_initiation_done(t, false);
 }
@@ -588,7 +598,7 @@ void CaoSinghalProtocol::handle_request(const rt::Message& m,
 
   // T_msg bookkeeping (Section 5.3): the synchronization phase of this
   // initiation extends at least to now.
-  init_stats(p.trigger).last_request_at = ctx_.sim->now();
+  init_stats(p.trigger).last_request_at = ctx_->sim->now();
 
   // A late request for an initiation whose commit/abort we already saw:
   // answer (the weight is moot, its initiator has decided) but do not
@@ -605,12 +615,12 @@ void CaoSinghalProtocol::handle_request(const rt::Message& m,
   // initiation, which the commit would finalize): a tentative pending for
   // a different initiation may still abort, and skipping based on it
   // would leave the requester's committed line with an orphan.
-  if (opts_.req_csn_filter && old_csn_ > p.req_csn) {
+  if (opts().req_csn_filter && old_csn_ > p.req_csn) {
     bool covered = perm_csn_ > p.req_csn;
-    if (!covered) {
-      for (const PendingTentative& pt : pending_) {
+    if (!covered && part_) {
+      for (const PendingTentative& pt : part_->pending) {
         if (pt.trigger == p.trigger &&
-            ctx_.store->get(pt.ref).csn > p.req_csn) {
+            ctx_->store->get(pt.ref).csn > p.req_csn) {
           covered = true;
           break;
         }
@@ -707,33 +717,29 @@ void CaoSinghalProtocol::handle_clear(const Trigger& t, bool is_commit,
 
   bool had_effect = false;
 
-  if (is_commit) {
-    for (std::size_t i = 0; i < pending_.size(); ++i) {
-      if (pending_[i].trigger != t) continue;
+  if (is_commit && part_) {
+    std::vector<PendingTentative>& pending = part_->pending;
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+      if (pending[i].trigger != t) continue;
       // Kim-Park partial commit: abort instead if we (or anything we
       // depend on) sit in the abort closure.
       bool must_abort = false;
       if (abort_set != nullptr) {
         must_abort = abort_set->test(static_cast<std::size_t>(self())) ||
-                     abort_set->intersects(pending_[i].saved_R);
+                     abort_set->intersects(pending[i].saved_R);
       }
       if (must_abort) {
-        PendingTentative pt = pending_[i];
-        pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
-        ctx_.store->discard(pt.ref);
-        R_.merge(pt.saved_R);
-        sent_ = sent_ || pt.saved_sent;
-        old_csn_ = pt.saved_old_csn;
+        abort_pending(i);
         ++init_stats(t).participants_aborted;
         had_effect = true;
         break;
       }
-      const ckpt::CheckpointRecord& rec = ctx_.store->get(pending_[i].ref);
-      ctx_.store->make_permanent(pending_[i].ref, ctx_.sim->now());
-      ++ctx_.stats->permanent_made;
+      const ckpt::CheckpointRecord& rec = ctx_->store->get(pending[i].ref);
+      ctx_->store->make_permanent(pending[i].ref, ctx_->sim->now());
+      ++ctx_->stats->permanent_made;
       if (rec.csn > perm_csn_) perm_csn_ = rec.csn;
       init_stats(t).line_updates.emplace_back(self(), rec.event_cursor);
-      pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
+      pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(i));
       // "P1 discards C1,2 when it makes checkpoint C1,1 permanent":
       // remaining mutables (all newer than this tentative) go away, their
       // dependency info folding back into the current interval.
@@ -754,20 +760,30 @@ void CaoSinghalProtocol::handle_clear(const Trigger& t, bool is_commit,
     had_effect = true;
   }
 
-  // Update approach: relay the termination along the send history.
-  if (opts_.commit_mode != CommitMode::kBroadcast && had_effect &&
-      !cp_send_history_.empty()) {
+  // Update approach: relay the termination along the send history (it
+  // only ever fills outside broadcast mode).
+  if (had_effect && part_ && !part_->cp_send_history.empty()) {
     auto clr = util::make_pooled<ClearPayload>();
     clr->trigger = t;
     std::vector<ProcessId> hist;
-    hist.swap(cp_send_history_);
+    hist.swap(part_->cp_send_history);
     for (ProcessId dst : hist) {
       if (dst == self() || dst == t.pid) continue;
       send_system(rt::MsgKind::kControl, dst, clr);
     }
-  } else if (opts_.commit_mode == CommitMode::kBroadcast) {
-    cp_send_history_.clear();
   }
+}
+
+void CaoSinghalProtocol::abort_pending(std::size_t i) {
+  std::vector<PendingTentative>& pending = part_->pending;
+  PendingTentative pt = std::move(pending[i]);
+  pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(i));
+  ctx_->store->discard(pt.ref);
+  // Restore the dependency state of the interval the checkpoint would
+  // have ended (Section 3.6).
+  R_.merge(pt.saved_R);
+  sent_ = sent_ || pt.saved_sent;
+  old_csn_ = pt.saved_old_csn;
 }
 
 void CaoSinghalProtocol::handle_commit(const Trigger& t,
@@ -778,17 +794,14 @@ void CaoSinghalProtocol::handle_commit(const Trigger& t,
 
 void CaoSinghalProtocol::handle_abort(const Trigger& t) {
   mark_terminated(t.initiation());
-  for (std::size_t i = 0; i < pending_.size(); ++i) {
-    if (pending_[i].trigger != t) continue;
-    PendingTentative pt = pending_[i];
-    pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
-    ctx_.store->discard(pt.ref);
-    // Restore the dependency state of the interval the checkpoint would
-    // have ended (Section 3.6).
-    R_.merge(pt.saved_R);
-    sent_ = sent_ || pt.saved_sent;
-    old_csn_ = pt.saved_old_csn;
-    break;
+  if (part_) {
+    const std::vector<PendingTentative>& pending = part_->pending;
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+      if (pending[i].trigger == t) {
+        abort_pending(i);
+        break;
+      }
+    }
   }
   if (find_mutable(t) >= 0) {
     discard_mutables_matching(t, /*merge_back=*/true);

@@ -25,14 +25,16 @@
 //    block meanwhile — this is the paper's precopy discussion (5.2).
 #pragma once
 
-#include <algorithm>
 #include <functional>
+#include <memory>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "core/payloads.hpp"
 #include "core/trigger.hpp"
 #include "rt/protocol.hpp"
+#include "util/bitvec.hpp"
 #include "util/interval_set.hpp"
 #include "util/sparse_csn.hpp"
 
@@ -82,11 +84,59 @@ struct CaoSinghalOptions {
   FailureMode failure_mode = FailureMode::kAbortAll;
 };
 
+/// Initiations each process knows have terminated (commit or abort
+/// received), for the whole run: one bit per process per initiation.
+/// A checkpoint request can still be in flight on a longer path when the
+/// termination broadcast lands (e.g. an initiator that detected a failed
+/// dependency aborts while its first-hop requests are propagating); such
+/// late requests must be answered without taking a checkpoint, or the
+/// tentative would be orphaned forever. Shared rather than per process
+/// because every commit broadcast reaches all n processes: per-process
+/// lists would grow by n entries per commit, while a bitset costs n/8
+/// bytes per initiation and is freed once every process has learned.
+class TerminationRecord {
+ public:
+  explicit TerminationRecord(std::size_t num_processes = 0)
+      : n_(num_processes) {}
+
+  bool known(ckpt::InitiationId id, ProcessId p) const {
+    auto it = map_.find(id);
+    if (it == map_.end()) return false;
+    const Entry& e = it->second;
+    return e.learned == n_ || e.bits.test(static_cast<std::size_t>(p));
+  }
+
+  void mark(ckpt::InitiationId id, ProcessId p) {
+    Entry& e = map_[id];
+    if (e.learned == n_) return;
+    if (e.bits.size() == 0) e.bits = util::BitVec(n_);
+    const auto i = static_cast<std::size_t>(p);
+    if (e.bits.test(i)) return;
+    e.bits.set(i);
+    if (++e.learned == n_) e.bits = util::BitVec();
+  }
+
+ private:
+  struct Entry {
+    util::BitVec bits;        // empty once every process has learned
+    std::size_t learned = 0;  // set bits
+  };
+  std::size_t n_;
+  std::unordered_map<ckpt::InitiationId, Entry> map_;
+};
+
+/// Run-wide Cao-Singhal state: one per System (one per sharded region),
+/// reached through rt::RunContext::algorithm, so the options and the
+/// termination record are stored once instead of once per process.
+struct CaoSinghalShared {
+  CaoSinghalOptions opts;
+  TerminationRecord terminated;
+};
+
 class CaoSinghalProtocol final : public rt::CheckpointProtocol {
  public:
-  explicit CaoSinghalProtocol(CaoSinghalOptions opts = {});
-
-  /// Must be called once after bind(): sizes the csn / R vectors.
+  /// Must be called once after bind() (whose context carries the run's
+  /// CaoSinghalShared): sizes the csn / R vectors.
   void start();
 
   // ---- application surface -------------------------------------------
@@ -96,7 +146,7 @@ class CaoSinghalProtocol final : public rt::CheckpointProtocol {
   /// is an active initiator (used by the harness to serialize
   /// initiations the way the paper's evaluation does).
   bool coordination_active() const override {
-    return active_initiator_ || !pending_.empty();
+    return active_initiator_ || (part_ && !part_->pending.empty());
   }
 
   // ---- introspection for tests and examples ---------------------------
@@ -107,7 +157,9 @@ class CaoSinghalProtocol final : public rt::CheckpointProtocol {
   bool cp_state() const { return cp_state_; }
   const util::IntervalSet& dependency_vector() const { return R_; }
   const Trigger& own_trigger() const { return own_trigger_; }
-  std::size_t mutable_count() const { return mutables_.size(); }
+  std::size_t mutable_count() const {
+    return part_ ? part_->mutables.size() : 0;
+  }
 
   /// Fired when this process (as initiator) commits or aborts. Lives in
   /// the lazily-allocated initiator block; assigning through this
@@ -173,6 +225,9 @@ class CaoSinghalProtocol final : public rt::CheckpointProtocol {
   void handle_commit(const Trigger& trigger,
                      const util::IntervalSet* abort_set = nullptr);
   void handle_abort(const Trigger& trigger);
+  /// Drops pending tentative `i` (part_->pending) and restores the
+  /// dependency state it had saved.
+  void abort_pending(std::size_t i);
   void handle_clear(const Trigger& trigger, bool is_commit,
                     const util::IntervalSet* abort_set = nullptr);
 
@@ -200,7 +255,16 @@ class CaoSinghalProtocol final : public rt::CheckpointProtocol {
 
   ckpt::InitiationStats& init_stats(const Trigger& t);
 
-  CaoSinghalOptions opts_;
+  CaoSinghalShared& shared() const {
+    return *static_cast<CaoSinghalShared*>(ctx_->algorithm);
+  }
+  const CaoSinghalOptions& opts() const { return shared().opts; }
+  bool initiation_terminated(ckpt::InitiationId id) const {
+    return shared().terminated.known(id, self());
+  }
+  void mark_terminated(ckpt::InitiationId id) {
+    shared().terminated.mark(id, self());
+  }
 
   // --- paper state (Section 3.2). All three are sparse: per-message and
   // per-request work is O(active dependencies), not O(n), and per-process
@@ -226,14 +290,27 @@ class CaoSinghalProtocol final : public rt::CheckpointProtocol {
   // concurrent initiations (see handle_request).
   Csn perm_csn_ = 0;
   Trigger own_trigger_;
-  std::vector<MutableRec> mutables_;  // the paper's CP record, generalized
 
-  // --- participant bookkeeping ---
-  // Uncommitted tentative checkpoints. Normally at most one; a second can
-  // appear when a new initiation starts while the previous commit message
-  // is still in flight.
-  std::vector<PendingTentative> pending_;
-  std::vector<ProcessId> cp_send_history_;  // update-approach (3.3.5)
+  // --- participant bookkeeping, allocated on the first checkpoint this
+  // process takes for an initiation. Idle processes (most of a large
+  // population) never touch it, and flat members would cost ~100 bytes in
+  // every one of a million protocol objects. Once allocated it stays, so a
+  // busy process pays one allocation per run, not one per round. ---
+  struct ParticipantState {
+    std::vector<MutableRec> mutables;  // the paper's CP record, generalized
+    // Uncommitted tentative checkpoints. Normally at most one; a second
+    // can appear when a new initiation starts while the previous commit
+    // message is still in flight.
+    std::vector<PendingTentative> pending;
+    std::vector<ProcessId> cp_send_history;  // update-approach (3.3.5)
+    // Failures observed while propagating; attached to the next reply.
+    std::vector<ProcessId> observed_failures;
+  };
+  ParticipantState& pst() {
+    if (!part_) part_ = std::make_unique<ParticipantState>();
+    return *part_;
+  }
+  std::unique_ptr<ParticipantState> part_;
 
   // --- initiator bookkeeping, allocated on first initiate(). Only
   // initiators (a handful of the population, bounded by the harness
@@ -255,28 +332,11 @@ class CaoSinghalProtocol final : public rt::CheckpointProtocol {
     return *init_;
   }
   std::unique_ptr<InitiatorState> init_;
-  // Participant side: failures observed while propagating; attached to
-  // the next reply.
-  std::vector<ProcessId> observed_failures_;
-
-  // Initiations this process knows have terminated (commit or abort
-  // received). A checkpoint request can still be in flight on a longer
-  // path when the termination broadcast lands (e.g. an initiator that
-  // detected a failed dependency aborts while its first-hop requests are
-  // propagating); such late requests must be answered without taking a
-  // checkpoint, or the tentative would be orphaned forever. Kept as a
-  // sorted inline vector: every commit/abort broadcast grows this on all
-  // n processes, and at n = 1M the former std::set cost a 64-byte heap
-  // node per entry per process (~450 MB for a handful of initiations).
-  bool initiation_terminated(ckpt::InitiationId id) const {
-    return std::binary_search(terminated_.begin(), terminated_.end(), id);
-  }
-  void mark_terminated(ckpt::InitiationId id) {
-    auto* it = std::lower_bound(terminated_.begin(), terminated_.end(), id);
-    if (it != terminated_.end() && *it == id) return;
-    terminated_.insert(it, id);
-  }
-  util::SmallVec<ckpt::InitiationId, 2> terminated_;
 };
+
+// Every byte here is paid once per process: ~200 MB at n = 1M.
+static_assert(sizeof(CaoSinghalProtocol) <= 256,
+              "CaoSinghalProtocol grew; move rarely used state into the "
+              "lazily allocated participant or initiator block");
 
 }  // namespace mck::core

@@ -47,8 +47,8 @@ std::uint64_t payload_bytes(const rt::Payload& payload);
 /// True iff the registry has a codec for `tag`.
 bool codec_registered(rt::PayloadTag tag);
 
-/// The process-wide rt::WireCodec over the registry. Installed into every
-/// ProcessContext by harness::System and into the transports when
+/// The process-wide rt::WireCodec over the registry. Installed into the
+/// rt::RunContext by harness::System and into the transports when
 /// wire-fidelity mode is on.
 const rt::WireCodec* universal_codec();
 

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -113,6 +115,30 @@ void RunResult::merge(const RunResult& o) {
     dst.tx_bytes += src.tx_bytes;
     dst.rx_bytes += src.rx_bytes;
     dst.bulk_bytes += src.bulk_bytes;
+  }
+}
+
+void ExperimentConfig::validate() const {
+  sys.lan.validate();
+  if (workload == WorkloadKind::kPointToPoint) {
+    workload::PointToPointWorkload::validate(sys.num_processes, rate);
+  } else {
+    workload::GroupWorkload::validate(sys.num_processes, groups, rate,
+                                      group_ratio);
+  }
+  if (horizon <= 0) {
+    throw std::invalid_argument("horizon must be > 0 (got " +
+                                std::to_string(sim::to_seconds(horizon)) +
+                                " s)");
+  }
+  if (ckpt_interval <= 0) {
+    throw std::invalid_argument("checkpoint interval must be > 0");
+  }
+  if (capture_timeline && timeline_interval <= 0) {
+    throw std::invalid_argument("timeline interval must be > 0");
+  }
+  if (initiator_limit < 0) {
+    throw std::invalid_argument("initiator limit must be >= 0");
   }
 }
 
@@ -290,6 +316,7 @@ int resolve_shards(int shards) {
 RunResult run_replicated(ExperimentConfig config, int reps, int jobs,
                          int shards) {
   MCK_ASSERT(reps >= 0);
+  config.validate();
   jobs = resolve_jobs(jobs);
   shards = resolve_shards(shards);
 

@@ -51,6 +51,13 @@ struct ExperimentConfig {
   /// serial engine; sharded runs report per-region drains instead).
   /// Never touches stdout, so golden outputs are unaffected.
   bool progress = false;
+
+  /// Throws std::invalid_argument naming the first setting no run can
+  /// use: bad LAN parameters, a workload (or process count) its class
+  /// rejects (PointToPointWorkload / GroupWorkload::validate), a
+  /// non-positive horizon, checkpoint interval or timeline interval, or a
+  /// negative initiator limit. run_replicated() calls it first.
+  void validate() const;
 };
 
 struct RunResult {

@@ -42,12 +42,16 @@ struct Region {
   ckpt::CoordinationTracker tracker;
   rt::RunStats stats;
   /// Region-lifetime bump arena for the owned protocols' sparse-state
-  /// spill storage (rt::ProcessContext::arena). Declared before protos so
+  /// spill storage (rt::RunContext::arena). Declared before protos so
   /// it outlives them during destruction.
   util::Arena arena;
   std::unique_ptr<net::LanTransport> lan;
   std::unique_ptr<mobile::CellularTransport> cell;
-  std::vector<std::unique_ptr<rt::CheckpointProtocol>> protos;  // by pid
+  /// What the region's protocol instances share (declared before them).
+  core::CaoSinghalShared cs_shared;
+  rt::RunContext ctx;
+  ProtocolSet protos;                           // in `owned` order
+  std::vector<rt::CheckpointProtocol*> by_pid;  // null: not owned here
   std::vector<ProcessId> owned;
   std::vector<Envelope> outbox;
   /// Earliest arrival time among this region's cross-region emissions in
@@ -196,42 +200,47 @@ RunResult run_sharded_experiment(const ExperimentConfig& config, int shards) {
                               reg.cell.get());
     }
 
-    reg.protos.resize(static_cast<std::size_t>(n));
-    for (ProcessId p : reg.owned) {
-      std::unique_ptr<rt::CheckpointProtocol> proto =
-          make_protocol(sys.algorithm, sys.cs);
-      rt::ProcessContext ctx;
-      ctx.self = p;
-      ctx.num_processes = n;
-      ctx.sim = &reg.sim;
-      ctx.net = &transport;
-      ctx.log = reg.log.get();
-      ctx.store = reg.store.get();
-      ctx.tracker = &reg.tracker;
-      ctx.stats = &reg.stats;
-      ctx.timing = &sys.timing;
-      ctx.codec = core::universal_codec();
-      ctx.tracer = tracer;
-      ctx.arena = &reg.arena;
-      ctx.timeline = tl_counters;
-      proto->bind(ctx);
-      reg.protos[static_cast<std::size_t>(p)] = std::move(proto);
+    reg.cs_shared = core::CaoSinghalShared{
+        sys.cs, core::TerminationRecord(static_cast<std::size_t>(n))};
+    rt::RunContext& ctx = reg.ctx;
+    ctx.num_processes = n;
+    ctx.sim = &reg.sim;
+    ctx.net = &transport;
+    ctx.log = reg.log.get();
+    ctx.store = reg.store.get();
+    ctx.tracker = &reg.tracker;
+    ctx.stats = &reg.stats;
+    ctx.timing = &sys.timing;
+    ctx.codec = core::universal_codec();
+    ctx.tracer = tracer;
+    ctx.arena = &reg.arena;
+    ctx.timeline = tl_counters;
+    if (sys.algorithm == Algorithm::kCaoSinghal) ctx.algorithm = &reg.cs_shared;
+    if (!reg.owned.empty()) {
+      reg.stats.energy.ensure(static_cast<std::size_t>(n));
     }
-    for (ProcessId p : reg.owned) {
-      rt::CheckpointProtocol* raw = reg.protos[static_cast<std::size_t>(p)].get();
-      start_protocol(sys.algorithm, *raw);
-      auto sink = [raw](const rt::Message& m) { raw->on_deliver(m); };
-      if (reg.lan) {
-        reg.lan->set_sink(p, sink);
-      } else {
-        reg.cell->set_sink(p, sink);
-      }
+    reg.protos = ProtocolSet(sys.algorithm, reg.owned.size());
+    reg.by_pid.assign(static_cast<std::size_t>(n), nullptr);
+    for (std::size_t i = 0; i < reg.owned.size(); ++i) {
+      reg.protos[i].bind(ctx, reg.owned[i]);
+      reg.by_pid[static_cast<std::size_t>(reg.owned[i])] = &reg.protos[i];
+    }
+    for (std::size_t i = 0; i < reg.owned.size(); ++i) {
+      start_protocol(sys.algorithm, reg.protos[i]);
+    }
+    auto sink = [rp](const rt::Message& m) {
+      rp->by_pid[static_cast<std::size_t>(m.dst)]->on_deliver(m);
+    };
+    if (reg.lan) {
+      reg.lan->set_sink(sink);
+    } else {
+      reg.cell->set_sink(sink);
     }
 
     // Workload, driving only the region's own processes from the region's
     // RNG stream. Destinations still range over all n processes.
     workload::SendFn send = [rp](ProcessId src, ProcessId dst) {
-      rp->protos[static_cast<std::size_t>(src)]->send_computation(dst);
+      rp->by_pid[static_cast<std::size_t>(src)]->send_computation(dst);
     };
     if (config.workload == WorkloadKind::kPointToPoint) {
       reg.p2p = std::make_unique<workload::PointToPointWorkload>(
@@ -280,7 +289,7 @@ RunResult run_sharded_experiment(const ExperimentConfig& config, int shards) {
   auto any_coordination_active = [&]() {
     for (auto& reg : regions) {
       for (ProcessId p : reg->owned) {
-        if (reg->protos[static_cast<std::size_t>(p)]->coordination_active()) {
+        if (reg->by_pid[static_cast<std::size_t>(p)]->coordination_active()) {
           return true;
         }
       }
@@ -310,7 +319,7 @@ RunResult run_sharded_experiment(const ExperimentConfig& config, int shards) {
           due[i] += retry_delay;  // "at most one checkpointing in progress"
         } else {
           granted = true;
-          rt::CheckpointProtocol* proto = reg.protos[i].get();
+          rt::CheckpointProtocol* proto = reg.by_pid[i];
           reg.sim.schedule_at(due[i], [proto]() { proto->initiate(); });
           due[i] += interval;
         }

@@ -1,5 +1,8 @@
 #include "harness/system.hpp"
 
+#include <algorithm>
+#include <type_traits>
+
 #include "core/codec.hpp"
 #include "util/assert.hpp"
 
@@ -95,30 +98,71 @@ bool has_committed_lines(Algorithm a) {
   }
 }
 
-std::unique_ptr<rt::CheckpointProtocol> make_protocol(
-    Algorithm a, const core::CaoSinghalOptions& cs) {
+template <typename T, typename... Args>
+void ProtocolSet::emplace(std::size_t count, const Args&... args) {
+  static_assert(std::is_base_of_v<rt::CheckpointProtocol, T>);
+  static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+  stride_ = sizeof(T);
+  slabs_.reserve((count + kSlabSize - 1) >> kSlabShift);
+  for (; count_ < count; ++count_) {
+    const std::size_t slot = count_ & (kSlabSize - 1);
+    if (slot == 0) {
+      const std::size_t len = std::min(kSlabSize, count - count_);
+      slabs_.push_back(
+          static_cast<std::byte*>(::operator new(len * sizeof(T))));
+    }
+    T* obj = ::new (static_cast<void*>(slabs_.back() + slot * sizeof(T)))
+        T(args...);
+    if (count_ == 0) {
+      // The base subobject sits at the same offset in every element.
+      auto* base = static_cast<rt::CheckpointProtocol*>(obj);
+      base_offset_ = static_cast<std::size_t>(
+          reinterpret_cast<std::byte*>(base) -
+          reinterpret_cast<std::byte*>(obj));
+    }
+  }
+}
+
+// Delegates to the default constructor so that, should a constructor
+// throw part-way, ~ProtocolSet() still destroys the count_ instances
+// built so far and frees the slabs.
+ProtocolSet::ProtocolSet(Algorithm a, std::size_t count) : ProtocolSet() {
   switch (a) {
     case Algorithm::kCaoSinghal:
-      return std::make_unique<core::CaoSinghalProtocol>(cs);
+      emplace<core::CaoSinghalProtocol>(count);
+      return;
     case Algorithm::kKooToueg:
-      return std::make_unique<baselines::KooTouegProtocol>();
+      emplace<baselines::KooTouegProtocol>(count);
+      return;
     case Algorithm::kElnozahy:
-      return std::make_unique<baselines::ElnozahyProtocol>();
+      emplace<baselines::ElnozahyProtocol>(count);
+      return;
     case Algorithm::kChandyLamport:
-      return std::make_unique<baselines::ChandyLamportProtocol>();
+      emplace<baselines::ChandyLamportProtocol>(count);
+      return;
     case Algorithm::kLaiYang:
-      return std::make_unique<baselines::LaiYangProtocol>();
+      emplace<baselines::LaiYangProtocol>(count);
+      return;
     case Algorithm::kSimpleScheme:
-      return std::make_unique<baselines::CsnSchemeProtocol>(
-          baselines::CsnSchemeKind::kSimple);
+      emplace<baselines::CsnSchemeProtocol>(
+          count, baselines::CsnSchemeKind::kSimple);
+      return;
     case Algorithm::kRevisedScheme:
-      return std::make_unique<baselines::CsnSchemeProtocol>(
-          baselines::CsnSchemeKind::kRevised);
+      emplace<baselines::CsnSchemeProtocol>(
+          count, baselines::CsnSchemeKind::kRevised);
+      return;
     case Algorithm::kUncoordinated:
-      return std::make_unique<baselines::UncoordinatedProtocol>();
+      emplace<baselines::UncoordinatedProtocol>(count);
+      return;
   }
   MCK_ASSERT_MSG(false, "unknown algorithm");
-  return nullptr;
+}
+
+ProtocolSet::~ProtocolSet() {
+  for (std::size_t i = 0; i < count_; ++i) {
+    (*this)[i].~CheckpointProtocol();
+  }
+  for (std::byte* slab : slabs_) ::operator delete(slab);
 }
 
 void start_protocol(Algorithm a, rt::CheckpointProtocol& proto) {
@@ -152,8 +196,14 @@ System::System(SystemOptions opts)
     : opts_(opts),
       rng_(opts.seed),
       log_(opts.num_processes),
-      store_(opts.num_processes) {
+      store_(opts.num_processes),
+      cs_shared_{opts.cs, core::TerminationRecord(
+                              static_cast<std::size_t>(opts.num_processes))},
+      protos_(opts.algorithm, static_cast<std::size_t>(opts.num_processes)) {
   MCK_ASSERT(opts_.num_processes >= 2);
+  // Size the per-process energy ledger once, instead of re-checking the
+  // vector size on every send/deliver in the hot path.
+  stats_.energy.ensure(static_cast<std::size_t>(opts_.num_processes));
 
   // Coordinated protocols reclaim superseded permanent checkpoints;
   // uncoordinated ones must hoard them for the rollback search.
@@ -196,42 +246,40 @@ System::System(SystemOptions opts)
     register_timeline_pulls(*tl, &stats_, &arena_, cell_.get());
   }
 
-  protos_.reserve(static_cast<std::size_t>(opts_.num_processes));
-  for (ProcessId p = 0; p < opts_.num_processes; ++p) {
-    std::unique_ptr<rt::CheckpointProtocol> proto =
-        make_protocol(opts_.algorithm, opts_.cs);
-
-    rt::ProcessContext ctx;
-    ctx.self = p;
-    ctx.num_processes = opts_.num_processes;
-    ctx.sim = &sim_;
-    ctx.net = &transport();
-    ctx.log = &log_;
-    ctx.store = &store_;
-    ctx.tracker = &tracker_;
-    ctx.stats = &stats_;
-    ctx.timing = &opts_.timing;
-    ctx.codec = core::universal_codec();
-    ctx.tracer = opts_.tracer;
-    ctx.arena = &arena_;
-    ctx.timeline = opts_.timeline != nullptr && opts_.timeline->enabled()
-                       ? opts_.timeline->counters()
-                       : nullptr;
-    ctx.coordinating = &coordinating_;
-    proto->bind(ctx);
-    protos_.push_back(std::move(proto));
+  run_.num_processes = opts_.num_processes;
+  run_.sim = &sim_;
+  run_.net = &transport();
+  run_.log = &log_;
+  run_.store = &store_;
+  run_.tracker = &tracker_;
+  run_.stats = &stats_;
+  run_.timing = &opts_.timing;
+  run_.codec = core::universal_codec();
+  run_.tracer = opts_.tracer;
+  run_.arena = &arena_;
+  run_.timeline = opts_.timeline != nullptr && opts_.timeline->enabled()
+                      ? opts_.timeline->counters()
+                      : nullptr;
+  run_.coordinating = &coordinating_;
+  if (opts_.algorithm == Algorithm::kCaoSinghal) {
+    run_.algorithm = &cs_shared_;
   }
 
-  // Per-algorithm post-bind initialization + delivery sinks.
+  // Bind, then run the per-algorithm post-bind initialization.
   for (ProcessId p = 0; p < opts_.num_processes; ++p) {
-    rt::CheckpointProtocol* raw = protos_[static_cast<std::size_t>(p)].get();
-    start_protocol(opts_.algorithm, *raw);
-    auto sink = [raw](const rt::Message& m) { raw->on_deliver(m); };
-    if (lan_) {
-      lan_->set_sink(p, sink);
-    } else {
-      cell_->set_sink(p, sink);
-    }
+    protos_[static_cast<std::size_t>(p)].bind(run_, p);
+  }
+  for (ProcessId p = 0; p < opts_.num_processes; ++p) {
+    start_protocol(opts_.algorithm, protos_[static_cast<std::size_t>(p)]);
+  }
+  // One sink for the whole run, dispatching on the destination pid.
+  auto sink = [this](const rt::Message& m) {
+    protos_[static_cast<std::size_t>(m.dst)].on_deliver(m);
+  };
+  if (lan_) {
+    lan_->set_sink(sink);
+  } else {
+    cell_->set_sink(sink);
   }
 }
 
@@ -242,14 +290,12 @@ rt::Transport& System::transport() {
 
 core::CaoSinghalProtocol& System::cao(ProcessId p) {
   MCK_ASSERT(opts_.algorithm == Algorithm::kCaoSinghal);
-  return *static_cast<core::CaoSinghalProtocol*>(
-      protos_[static_cast<std::size_t>(p)].get());
+  return static_cast<core::CaoSinghalProtocol&>(proto(p));
 }
 
 baselines::KooTouegProtocol& System::koo(ProcessId p) {
   MCK_ASSERT(opts_.algorithm == Algorithm::kKooToueg);
-  return *static_cast<baselines::KooTouegProtocol*>(
-      protos_[static_cast<std::size_t>(p)].get());
+  return static_cast<baselines::KooTouegProtocol&>(proto(p));
 }
 
 ckpt::CheckResult System::check_consistency() const {

@@ -4,7 +4,11 @@
 // benches all build on this.
 #pragma once
 
+#include <cstddef>
+#include <functional>
 #include <memory>
+#include <new>
+#include <utility>
 #include <vector>
 
 #include "baselines/chandy_lamport.hpp"
@@ -46,10 +50,52 @@ const char* to_string(Algorithm a);
 /// and uncoordinated checkpointing have no committed global lines).
 bool has_committed_lines(Algorithm a);
 
-/// Constructs an unbound protocol instance for `a` (the per-pid factory
-/// behind System; the sharded harness builds regions from the same one).
-std::unique_ptr<rt::CheckpointProtocol> make_protocol(
-    Algorithm a, const core::CaoSinghalOptions& cs);
+/// The protocol instances of one run (or sharded region), unbound, in
+/// slabs of 4096 contiguous objects: the algorithm, hence the object
+/// size, is fixed per run, so n processes cost n/4096 allocations and no
+/// per-process pointer. A slab (under 1 MB) stays an ordinary heap chunk
+/// the allocator recycles, where one n-sized block would be mapped fresh,
+/// and its pages faulted again, for every System. Destroys the instances
+/// (virtually) with the slabs.
+class ProtocolSet {
+ public:
+  ProtocolSet() = default;
+  ProtocolSet(Algorithm a, std::size_t count);
+  ProtocolSet(ProtocolSet&& other) noexcept { swap(other); }
+  ProtocolSet& operator=(ProtocolSet&& other) noexcept {
+    ProtocolSet moved(std::move(other));
+    swap(moved);
+    return *this;
+  }
+  ProtocolSet(const ProtocolSet&) = delete;
+  ProtocolSet& operator=(const ProtocolSet&) = delete;
+  ~ProtocolSet();
+
+  /// Unchecked, like std::vector::operator[].
+  rt::CheckpointProtocol& operator[](std::size_t i) {
+    return *std::launder(reinterpret_cast<rt::CheckpointProtocol*>(
+        slabs_[i >> kSlabShift] + (i & (kSlabSize - 1)) * stride_ +
+        base_offset_));
+  }
+
+ private:
+  static constexpr std::size_t kSlabShift = 12;
+  static constexpr std::size_t kSlabSize = std::size_t{1} << kSlabShift;
+
+  template <typename T, typename... Args>
+  void emplace(std::size_t count, const Args&... args);
+  void swap(ProtocolSet& other) noexcept {
+    slabs_.swap(other.slabs_);
+    std::swap(stride_, other.stride_);
+    std::swap(base_offset_, other.base_offset_);
+    std::swap(count_, other.count_);
+  }
+
+  std::vector<std::byte*> slabs_;
+  std::size_t stride_ = 0;       // sizeof the concrete protocol type
+  std::size_t base_offset_ = 0;  // of the CheckpointProtocol subobject
+  std::size_t count_ = 0;
+};
 
 /// Post-bind initialization: calls the algorithm-specific start().
 void start_protocol(Algorithm a, rt::CheckpointProtocol& proto);
@@ -113,7 +159,7 @@ class System {
   mobile::CellularTransport* cellular() { return cell_.get(); }
 
   rt::CheckpointProtocol& proto(ProcessId p) {
-    return *protos_[static_cast<std::size_t>(p)];
+    return protos_[static_cast<std::size_t>(p)];
   }
   /// Typed access; asserts the algorithm matches.
   core::CaoSinghalProtocol& cao(ProcessId p);
@@ -129,8 +175,15 @@ class System {
   /// Starts a checkpointing process at `p`.
   void initiate(ProcessId p) { proto(p).initiate(); }
 
+  /// Run-level application observer: fired after any process handles a
+  /// computation message (m.dst is the receiver). Replaces the previous
+  /// one; an empty function detaches it.
+  void set_app_observer(std::function<void(const rt::Message&)> fn) {
+    run_.on_app_message = std::move(fn);
+  }
+
   /// True while any process's coordination_active() is true: O(1), read
-  /// from the count the protocols keep (rt::ProcessContext::coordinating).
+  /// from the count the protocols keep (rt::RunContext::coordinating).
   bool any_coordination_active() const { return coordinating_ > 0; }
 
   /// Number of processes whose coordination_active() is true.
@@ -153,12 +206,16 @@ class System {
   rt::RunStats stats_;
   std::size_t coordinating_ = 0;  // see coordinating_count()
   /// Run-lifetime bump arena for the protocols' sparse-state spill
-  /// storage (rt::ProcessContext::arena). Declared before protos_ so it
+  /// storage (rt::RunContext::arena). Declared before protos_ so it
   /// outlives them during destruction.
   util::Arena arena_;
   std::unique_ptr<net::LanTransport> lan_;
   std::unique_ptr<mobile::CellularTransport> cell_;
-  std::vector<std::unique_ptr<rt::CheckpointProtocol>> protos_;
+  /// What every protocol instance shares; declared before protos_, which
+  /// point at both.
+  core::CaoSinghalShared cs_shared_;
+  rt::RunContext run_;
+  ProtocolSet protos_;
 };
 
 }  // namespace mck::harness

@@ -36,8 +36,7 @@ CellularTransport::CellularTransport(sim::Simulator& sim, int num_processes,
                                      CellularParams params)
     : sim_(sim),
       params_(params),
-      sinks_(static_cast<std::size_t>(validate_topology(num_processes,
-                                                        params))),
+      num_processes_(validate_topology(num_processes, params)),
       mss_of_(static_cast<std::size_t>(num_processes)),
       cell_of_(static_cast<std::size_t>(num_processes)),
       disconnected_(static_cast<std::size_t>(num_processes), 0),
@@ -56,11 +55,6 @@ CellularTransport::CellularTransport(sim::Simulator& sim, int num_processes,
     cell_of_[static_cast<std::size_t>(p)] = c;
     mss_of_[static_cast<std::size_t>(p)] = c % params_.num_mss;
   }
-}
-
-void CellularTransport::set_sink(ProcessId pid, rt::DeliverFn fn) {
-  MCK_ASSERT(pid >= 0 && pid < num_processes());
-  sinks_[static_cast<std::size_t>(pid)] = std::move(fn);
 }
 
 sim::SimTime CellularTransport::wireless_tx(std::uint64_t bytes) const {
@@ -202,10 +196,9 @@ void CellularTransport::deliver_batch(const std::shared_ptr<BroadcastBatch>& bat
         if (timeline_ != nullptr) --timeline_->in_flight;
         m.dst = b->entries[k].pid;
         m.channel_seq = b->entries[k].seq;
-        MCK_ASSERT_MSG(
-            static_cast<bool>(sinks_[static_cast<std::size_t>(m.dst)]),
-            "no delivery sink registered");
-        sinks_[static_cast<std::size_t>(m.dst)](m);
+        MCK_ASSERT_MSG(static_cast<bool>(sink_),
+                       "no delivery sink registered");
+        sink_(m);
       }
     });
     run_begin = end;
@@ -284,9 +277,8 @@ void CellularTransport::hand_to_process(rt::Message msg) {
   decode_from_wire(msg);
   // Deliver via an event so protocol handlers never re-enter each other.
   sim_.schedule_after(0, [this, m = std::move(msg)]() {
-    MCK_ASSERT_MSG(static_cast<bool>(sinks_[static_cast<std::size_t>(m.dst)]),
-                   "no delivery sink registered");
-    sinks_[static_cast<std::size_t>(m.dst)](m);
+    MCK_ASSERT_MSG(static_cast<bool>(sink_), "no delivery sink registered");
+    sink_(m);
   });
 }
 

@@ -58,13 +58,16 @@ class CellularTransport final : public rt::Transport {
   CellularTransport(sim::Simulator& sim, int num_processes,
                     CellularParams params = {});
 
-  void set_sink(ProcessId pid, rt::DeliverFn fn);
+  /// Routes every delivery to `fn`, which dispatches on the message's
+  /// dst: one sink for the run instead of one per process. Must be set
+  /// before the first send.
+  void set_sink(rt::DeliverFn fn) { sink_ = std::move(fn); }
 
   // ---- rt::Transport ---------------------------------------------------
   void send(rt::Message msg) override;
   void broadcast(rt::Message msg) override;
   sim::SimTime transfer_bulk(ProcessId src, std::uint64_t bytes) override;
-  int num_processes() const override { return static_cast<int>(sinks_.size()); }
+  int num_processes() const override { return num_processes_; }
 
   // ---- mobility control -------------------------------------------------
   MssId mss_of(ProcessId pid) const {
@@ -126,7 +129,7 @@ class CellularTransport final : public rt::Transport {
   using EmitFn =
       std::function<void(sim::SimTime at, rt::Message msg, MssId routed_to)>;
   void set_shard_region(std::vector<std::uint8_t> owned, EmitFn emit) {
-    MCK_ASSERT(owned.size() == sinks_.size());
+    MCK_ASSERT(owned.size() == static_cast<std::size_t>(num_processes_));
     owned_ = std::move(owned);
     emit_ = std::move(emit);
   }
@@ -177,7 +180,8 @@ class CellularTransport final : public rt::Transport {
   CellularParams params_;
   obs::Tracer* tracer_ = nullptr;
   obs::TimelineCounters* timeline_ = nullptr;
-  std::vector<rt::DeliverFn> sinks_;
+  int num_processes_;
+  rt::DeliverFn sink_;
   std::vector<std::uint8_t> owned_;  // sharded mode: pids this region runs
   EmitFn emit_;                      // sharded mode: cross-region handoff
   std::vector<MssId> mss_of_;

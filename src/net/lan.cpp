@@ -1,21 +1,41 @@
 #include "net/lan.hpp"
 
+#include <cmath>
+#include <stdexcept>
+#include <string>
+
 #include "util/assert.hpp"
 
 namespace mck::net {
+
+void LanParams::validate() const {
+  if (!std::isfinite(bandwidth_bps) || bandwidth_bps <= 0) {
+    throw std::invalid_argument("lan: bandwidth_bps must be finite and > 0, "
+                                "got " + std::to_string(bandwidth_bps));
+  }
+  if (propagation_delay < 0) {
+    throw std::invalid_argument("lan: propagation_delay must be >= 0");
+  }
+  if (!(loss_probability >= 0.0 && loss_probability < 1.0)) {
+    throw std::invalid_argument("lan: loss_probability must be in [0, 1), "
+                                "got " + std::to_string(loss_probability));
+  }
+  if (retry_backoff < 0) {
+    throw std::invalid_argument("lan: retry_backoff must be >= 0");
+  }
+}
 
 LanTransport::LanTransport(sim::Simulator& sim, int num_processes,
                            LanParams params, sim::Rng* rng)
     : sim_(sim),
       params_(params),
       rng_(rng),
-      sinks_(static_cast<std::size_t>(num_processes)),
+      num_processes_(num_processes),
       fifo_(num_processes) {
   MCK_ASSERT(num_processes > 0);
-  MCK_ASSERT(params_.bandwidth_bps > 0);
+  params_.validate();
   MCK_ASSERT_MSG(params_.loss_probability == 0.0 || rng_ != nullptr,
                  "lossy links need an Rng");
-  MCK_ASSERT(params_.loss_probability < 1.0);
 }
 
 sim::SimTime LanTransport::retry_jitter(const rt::Message& msg) {
@@ -34,11 +54,6 @@ sim::SimTime LanTransport::retry_jitter(const rt::Message& msg) {
                     obs::pack_retry(extra, retries));
   }
   return extra;
-}
-
-void LanTransport::set_sink(ProcessId pid, rt::DeliverFn fn) {
-  MCK_ASSERT(pid >= 0 && pid < num_processes());
-  sinks_[static_cast<std::size_t>(pid)] = std::move(fn);
 }
 
 sim::SimTime LanTransport::tx_time(std::uint64_t bytes) const {
@@ -103,10 +118,9 @@ void LanTransport::arrive(rt::Message msg) {
     if (!reachable(m.dst) && !survives_endpoint_failure(m.kind)) {
       return;  // failed meanwhile
     }
-    MCK_ASSERT_MSG(static_cast<bool>(sinks_[static_cast<std::size_t>(m.dst)]),
-                   "no delivery sink registered");
+    MCK_ASSERT_MSG(static_cast<bool>(sink_), "no delivery sink registered");
     decode_from_wire(m);  // wire-fidelity mode: re-materialize the payload
-    sinks_[static_cast<std::size_t>(m.dst)](m);
+    sink_(m);
   });
 }
 

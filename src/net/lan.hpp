@@ -45,6 +45,11 @@ struct LanParams {
   /// Requires an Rng (see constructor); 0 = the paper's error-free links.
   double loss_probability = 0.0;
   sim::SimTime retry_backoff = sim::milliseconds(1);
+
+  /// Throws std::invalid_argument naming the first field that is out of
+  /// range (non-finite or non-positive bandwidth, negative delays, a loss
+  /// probability outside [0, 1)).
+  void validate() const;
 };
 
 class LanTransport final : public rt::Transport {
@@ -54,14 +59,15 @@ class LanTransport final : public rt::Transport {
   LanTransport(sim::Simulator& sim, int num_processes, LanParams params = {},
                sim::Rng* rng = nullptr);
 
-  /// Routes deliveries for process `pid` to `fn`. Must be set for every
-  /// process before the first send.
-  void set_sink(ProcessId pid, rt::DeliverFn fn);
+  /// Routes every delivery to `fn`, which dispatches on the message's
+  /// dst: one sink for the run instead of one per process. Must be set
+  /// before the first send.
+  void set_sink(rt::DeliverFn fn) { sink_ = std::move(fn); }
 
   void send(rt::Message msg) override;
   void broadcast(rt::Message msg) override;
   sim::SimTime transfer_bulk(ProcessId src, std::uint64_t bytes) override;
-  int num_processes() const override { return static_cast<int>(sinks_.size()); }
+  int num_processes() const override { return num_processes_; }
 
   /// Failure injection (Section 3.6): deliveries to a failed process are
   /// dropped and senders probing reachable() learn of the failure.
@@ -97,7 +103,7 @@ class LanTransport final : public rt::Transport {
   void set_shard_region(std::vector<std::uint8_t> owned, EmitFn emit) {
     MCK_ASSERT_MSG(params_.mode == MediumMode::kDedicated,
                    "--shards requires a dedicated medium");
-    MCK_ASSERT(owned.size() == sinks_.size());
+    MCK_ASSERT(owned.size() == static_cast<std::size_t>(num_processes_));
     owned_ = std::move(owned);
     emit_ = std::move(emit);
   }
@@ -129,7 +135,8 @@ class LanTransport final : public rt::Transport {
   sim::Rng* rng_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
   obs::TimelineCounters* timeline_ = nullptr;
-  std::vector<rt::DeliverFn> sinks_;
+  int num_processes_;
+  rt::DeliverFn sink_;
   std::vector<std::uint8_t> owned_;  // sharded mode: pids this region runs
   EmitFn emit_;                      // sharded mode: cross-region handoff
   std::vector<std::uint8_t> failed_;

@@ -6,75 +6,51 @@
 
 namespace mck::rt {
 
-namespace {
-
-/// One guarded append; the null test is the entire cost when tracing is
-/// off (ctx.tracer never changes during a run).
-inline void trace(const ProcessContext& ctx, obs::TraceKind kind,
-                  std::uint8_t sub, std::uint16_t aux, std::uint64_t arg0,
-                  std::uint64_t arg1) {
-  if (ctx.tracer != nullptr) {
-    ctx.tracer->record(kind, ctx.sim->now(), ctx.self, sub, aux, arg0, arg1);
-  }
-}
-
-}  // namespace
-
-void CheckpointProtocol::bind(const ProcessContext& ctx) {
-  ctx_ = ctx;
-  // Size the per-process energy ledger once, instead of re-checking the
-  // vector size on every send/deliver in the hot path.
-  if (ctx_.stats != nullptr && ctx_.num_processes > 0) {
-    ctx_.stats->energy.ensure(static_cast<std::size_t>(ctx_.num_processes));
-  }
-}
-
 std::uint64_t CheckpointProtocol::system_payload_wire_size(
     const Payload& p) const {
-  return ctx_.codec != nullptr ? ctx_.codec->wire_size(p) : 0;
+  return ctx_->codec != nullptr ? ctx_->codec->wire_size(p) : 0;
 }
 
 void CheckpointProtocol::send_computation(ProcessId dst) {
-  MCK_ASSERT(ctx_.sim != nullptr);
-  MCK_ASSERT(dst != ctx_.self);
+  MCK_ASSERT(ctx_->sim != nullptr);
+  MCK_ASSERT(dst != self_);
   if (blocked_) {
-    deferred_sends_.push_back(dst);
-    ++ctx_.stats->blocked_sends_deferred;
+    defer_computation(dst);
     return;
   }
   Message m;
   m.kind = MsgKind::kComputation;
-  m.src = ctx_.self;
+  m.src = self_;
   m.dst = dst;
-  m.size_bytes = ctx_.timing->comp_msg_bytes;
-  m.sent_at = ctx_.sim->now();
+  m.size_bytes = ctx_->timing->comp_msg_bytes;
+  m.sent_at = ctx_->sim->now();
   m.payload = computation_payload(dst);
   // Honest accounting: the piggybacked csn/trigger/round rides on top of
   // the 1 KB application data (the budget already covers the framing).
   const bool want_honest =
-      (ctx_.timing->use_wire_sizes || ctx_.timing->record_wire_bytes) &&
-      ctx_.codec != nullptr;
+      (ctx_->timing->use_wire_sizes || ctx_->timing->record_wire_bytes) &&
+      ctx_->codec != nullptr;
   std::uint64_t honest = m.size_bytes;
   if (want_honest && m.payload != nullptr) {
-    honest += ctx_.codec->payload_bytes(*m.payload);
+    honest += ctx_->codec->payload_bytes(*m.payload);
   }
-  if (ctx_.timing->use_wire_sizes) m.size_bytes = honest;
-  m.id = ctx_.log->record_send(ctx_.self, dst, m.sent_at);
+  if (ctx_->timing->use_wire_sizes) m.size_bytes = honest;
+  m.id = ctx_->log->record_send(self_, dst, m.sent_at);
   // cursor() just advanced past this send, so it equals send_event + 1 —
   // exactly the audit stamp convention (0 is reserved for system messages).
-  trace(ctx_, obs::TraceKind::kMsgSend, static_cast<std::uint8_t>(m.kind),
+  trace(obs::TraceKind::kMsgSend, static_cast<std::uint8_t>(m.kind),
         static_cast<std::uint16_t>(dst), m.id,
-        obs::pack_msg_stamp(ctx_.log->cursor(ctx_.self), m.size_bytes));
-  ++ctx_.stats->msgs_sent[static_cast<int>(m.kind)];
-  ctx_.stats->bytes_sent[static_cast<int>(m.kind)] += m.size_bytes;
-  if (ctx_.timing->record_wire_bytes || ctx_.timing->use_wire_sizes) {
-    ctx_.stats->wire_bytes_sent[static_cast<int>(m.kind)] += honest;
+        obs::pack_msg_stamp(ctx_->log->cursor(self_), m.size_bytes));
+  ++ctx_->stats->msgs_sent[static_cast<int>(m.kind)];
+  ctx_->stats->bytes_sent[static_cast<int>(m.kind)] += m.size_bytes;
+  if (ctx_->timing->record_wire_bytes || ctx_->timing->use_wire_sizes) {
+    ctx_->stats->wire_bytes_sent[static_cast<int>(m.kind)] += honest;
   }
   stats::ProcessEnergy& e =
-      ctx_.stats->energy.per_process[static_cast<std::size_t>(ctx_.self)];
+      ctx_->stats->energy.per_process[static_cast<std::size_t>(self_)];
   ++e.tx_comp_msgs;
   e.tx_bytes += m.size_bytes;
-  ctx_.net->send(std::move(m));
+  ctx_->net->send(std::move(m));
   note_coordination();
 }
 
@@ -84,14 +60,14 @@ void CheckpointProtocol::on_deliver(const Message& m) {
   // events), so the receive-event index it will be logged under is the
   // current cursor; stamp it (+1) for the offline auditor.
   const std::uint64_t recv_stamp = m.kind == MsgKind::kComputation
-                                       ? ctx_.log->cursor(ctx_.self) + 1
+                                       ? ctx_->log->cursor(self_) + 1
                                        : 0;
-  trace(ctx_, obs::TraceKind::kMsgDeliver, static_cast<std::uint8_t>(m.kind),
+  trace(obs::TraceKind::kMsgDeliver, static_cast<std::uint8_t>(m.kind),
         static_cast<std::uint16_t>(m.src), m.id,
         obs::pack_msg_stamp(recv_stamp, m.size_bytes));
-  ++ctx_.stats->deliveries;
+  ++ctx_->stats->deliveries;
   stats::ProcessEnergy& e =
-      ctx_.stats->energy.per_process[static_cast<std::size_t>(ctx_.self)];
+      ctx_->stats->energy.per_process[static_cast<std::size_t>(self_)];
   e.rx_bytes += m.size_bytes;
   if (m.kind == MsgKind::kComputation) {
     ++e.rx_comp_msgs;
@@ -108,32 +84,32 @@ void CheckpointProtocol::send_system(MsgKind kind, ProcessId dst,
   MCK_ASSERT(is_system(kind));
   Message m;
   m.kind = kind;
-  m.src = ctx_.self;
+  m.src = self_;
   m.dst = dst;
-  m.size_bytes = ctx_.timing->sys_msg_bytes;
+  m.size_bytes = ctx_->timing->sys_msg_bytes;
   const bool want_honest =
-      ctx_.timing->use_wire_sizes || ctx_.timing->record_wire_bytes;
+      ctx_->timing->use_wire_sizes || ctx_->timing->record_wire_bytes;
   std::uint64_t honest = m.size_bytes;
   if (want_honest && payload != nullptr) {
     std::uint64_t ws = system_payload_wire_size(*payload);
     if (ws > 0) honest = ws;
   }
-  if (ctx_.timing->use_wire_sizes) m.size_bytes = honest;
-  m.sent_at = ctx_.sim->now();
+  if (ctx_->timing->use_wire_sizes) m.size_bytes = honest;
+  m.sent_at = ctx_->sim->now();
   m.payload = std::move(payload);
-  m.id = ctx_.log->next_msg_id();
-  trace(ctx_, obs::TraceKind::kMsgSend, static_cast<std::uint8_t>(kind),
+  m.id = ctx_->log->next_msg_id();
+  trace(obs::TraceKind::kMsgSend, static_cast<std::uint8_t>(kind),
         static_cast<std::uint16_t>(dst), m.id, m.size_bytes);
-  ++ctx_.stats->msgs_sent[static_cast<int>(kind)];
-  ctx_.stats->bytes_sent[static_cast<int>(kind)] += m.size_bytes;
+  ++ctx_->stats->msgs_sent[static_cast<int>(kind)];
+  ctx_->stats->bytes_sent[static_cast<int>(kind)] += m.size_bytes;
   if (want_honest) {
-    ctx_.stats->wire_bytes_sent[static_cast<int>(kind)] += honest;
+    ctx_->stats->wire_bytes_sent[static_cast<int>(kind)] += honest;
   }
   stats::ProcessEnergy& e =
-      ctx_.stats->energy.per_process[static_cast<std::size_t>(ctx_.self)];
+      ctx_->stats->energy.per_process[static_cast<std::size_t>(self_)];
   ++e.tx_sys_msgs;
   e.tx_bytes += m.size_bytes;
-  ctx_.net->send(std::move(m));
+  ctx_->net->send(std::move(m));
 }
 
 void CheckpointProtocol::broadcast_system(
@@ -141,82 +117,58 @@ void CheckpointProtocol::broadcast_system(
   MCK_ASSERT(is_system(kind));
   Message m;
   m.kind = kind;
-  m.src = ctx_.self;
-  m.size_bytes = ctx_.timing->sys_msg_bytes;
+  m.src = self_;
+  m.size_bytes = ctx_->timing->sys_msg_bytes;
   const bool want_honest =
-      ctx_.timing->use_wire_sizes || ctx_.timing->record_wire_bytes;
+      ctx_->timing->use_wire_sizes || ctx_->timing->record_wire_bytes;
   std::uint64_t honest = m.size_bytes;
   if (want_honest && payload != nullptr) {
     std::uint64_t ws = system_payload_wire_size(*payload);
     if (ws > 0) honest = ws;
   }
-  if (ctx_.timing->use_wire_sizes) m.size_bytes = honest;
-  m.sent_at = ctx_.sim->now();
+  if (ctx_->timing->use_wire_sizes) m.size_bytes = honest;
+  m.sent_at = ctx_->sim->now();
   m.payload = std::move(payload);
-  m.id = ctx_.log->next_msg_id();
+  m.id = ctx_->log->next_msg_id();
   // A broadcast is one transmission on the shared medium but is counted
   // once per recipient for byte accounting symmetry with [13].
-  trace(ctx_, obs::TraceKind::kMsgSend, static_cast<std::uint8_t>(kind),
+  trace(obs::TraceKind::kMsgSend, static_cast<std::uint8_t>(kind),
         obs::kBroadcastDst, m.id, m.size_bytes);
-  ++ctx_.stats->msgs_sent[static_cast<int>(kind)];
-  ctx_.stats->bytes_sent[static_cast<int>(kind)] += m.size_bytes;
+  ++ctx_->stats->msgs_sent[static_cast<int>(kind)];
+  ctx_->stats->bytes_sent[static_cast<int>(kind)] += m.size_bytes;
   if (want_honest) {
-    ctx_.stats->wire_bytes_sent[static_cast<int>(kind)] += honest;
+    ctx_->stats->wire_bytes_sent[static_cast<int>(kind)] += honest;
   }
   stats::ProcessEnergy& e =
-      ctx_.stats->energy.per_process[static_cast<std::size_t>(ctx_.self)];
+      ctx_->stats->energy.per_process[static_cast<std::size_t>(self_)];
   ++e.tx_sys_msgs;
   e.tx_bytes += m.size_bytes;
-  ctx_.net->broadcast(std::move(m));
+  ctx_->net->broadcast(std::move(m));
 }
 
 void CheckpointProtocol::process_computation(const Message& m) {
-  ctx_.log->record_recv(m.id, ctx_.self, ctx_.sim->now());
-  if (on_app_message) on_app_message(m);
+  ctx_->log->record_recv(m.id, self_, ctx_->sim->now());
+  if (ctx_->on_app_message) ctx_->on_app_message(m);
 }
 
 void CheckpointProtocol::charge_mutable_save() {
-  ctx_.stats->mutable_overhead_time += ctx_.timing->mutable_save_delay;
+  ctx_->stats->mutable_overhead_time += ctx_->timing->mutable_save_delay;
 }
 
 sim::SimTime CheckpointProtocol::start_stable_transfer() {
   sim::SimTime done =
-      ctx_.net->transfer_bulk(ctx_.self, ctx_.timing->ckpt_bytes);
-  if (done > ctx_.sim->now()) {
+      ctx_->net->transfer_bulk(self_, ctx_->timing->ckpt_bytes);
+  if (done > ctx_->sim->now()) {
     // Radio airtime was actually spent (a disconnected MH's checkpoint is
     // converted at the MSS for free, Section 2.2).
-    ctx_.stats->energy.per_process[static_cast<std::size_t>(ctx_.self)]
-        .bulk_bytes += ctx_.timing->ckpt_bytes;
+    ctx_->stats->energy.per_process[static_cast<std::size_t>(self_)]
+        .bulk_bytes += ctx_->timing->ckpt_bytes;
   }
-  return done + ctx_.timing->disk_delay;
+  return done + ctx_->timing->disk_delay;
 }
 
-void CheckpointProtocol::block() {
-  if (blocked_) return;
-  blocked_ = true;
-  blocked_since_ = ctx_.sim->now();
-  if (ctx_.timeline != nullptr) ++ctx_.timeline->blocked;
-  trace(ctx_, obs::TraceKind::kBlock, 0, 0, 0, 0);
-}
-
-void CheckpointProtocol::unblock() {
-  if (!blocked_) return;
-  blocked_ = false;
-  if (ctx_.timeline != nullptr) --ctx_.timeline->blocked;
-  sim::SimTime blocked_for = ctx_.sim->now() - blocked_since_;
-  ctx_.stats->blocked_time_total += blocked_for;
-  trace(ctx_, obs::TraceKind::kUnblock, 0, 0,
-        static_cast<std::uint64_t>(blocked_for), 0);
-  blocked_since_ = -1;
-  dispatch_deferred();
-}
-
-void CheckpointProtocol::dispatch_deferred() {
-  std::vector<ProcessId> pending;
-  pending.swap(deferred_sends_);
-  for (ProcessId dst : pending) {
-    send_computation(dst);
-  }
+void CheckpointProtocol::defer_computation(ProcessId /*dst*/) {
+  MCK_ASSERT_MSG(false, "a blocking protocol must override defer_computation");
 }
 
 }  // namespace mck::rt

@@ -2,8 +2,8 @@
 //
 // One CheckpointProtocol instance runs per process. The workload layer
 // calls send_computation()/initiate(); the transport calls on_deliver().
-// ProtocolBase centralises everything every algorithm needs — event
-// logging, message construction, blocking bookkeeping, checkpoint timing —
+// CheckpointProtocol centralises everything every algorithm needs — event
+// logging, message construction, checkpoint timing, tracing —
 // so each algorithm file contains only its coordination logic and the
 // comparisons stay apples-to-apples.
 #pragma once
@@ -40,7 +40,7 @@ struct TimingConfig {
   sim::SimTime disk_delay = 0;  // "disk access time is not counted"
 
   /// When set, messages are charged their true serialized size (via the
-  /// universal codec in ProcessContext::codec) instead of the paper's
+  /// universal codec in RunContext::codec) instead of the paper's
   /// flat budgets: system messages replace the 50 B constant — the MR
   /// structure and the weight make checkpoint requests grow with N and
   /// propagation depth — and computation messages are charged their
@@ -100,9 +100,10 @@ struct RunStats {
 
 class WireCodec;
 
-/// Everything a protocol instance needs from its environment.
-struct ProcessContext {
-  ProcessId self = kInvalidProcess;
+/// Everything the protocol instances of one run share. There is one per
+/// System (one per sharded region); each protocol keeps a pointer to it
+/// plus its own pid, so a million processes do not each carry a copy.
+struct RunContext {
   int num_processes = 0;
   sim::Simulator* sim = nullptr;
   Transport* net = nullptr;
@@ -115,8 +116,8 @@ struct ProcessContext {
   /// backs honest wire-size accounting. May be null in minimal tests —
   /// wire accounting then falls back to the flat budgets.
   const WireCodec* codec = nullptr;
-  /// Flight recorder (null = off). The protocol base traces every send,
-  /// delivery and block/unblock here, so all eight algorithms get the
+  /// Flight recorder (null = off). The protocol base traces every send
+  /// and delivery here, so all eight algorithms get the
   /// message-path trace points for free.
   obs::Tracer* tracer = nullptr;
   /// Region-lifetime bump arena (null = global heap). Protocols bind
@@ -126,8 +127,8 @@ struct ProcessContext {
   /// mid-run — see DESIGN.md "Hot-path memory discipline" for what may
   /// and may not be arena-backed.
   util::Arena* arena = nullptr;
-  /// Timeline gauge block (null = off). The protocol base maintains the
-  /// blocked-process gauge here; other owners (store, tracker, transport)
+  /// Timeline gauge block (null = off). The blocking baseline maintains
+  /// the blocked-process gauge here; other owners (store, tracker, transport)
   /// hold their own pointer to the same per-region block.
   obs::TimelineCounters* timeline = nullptr;
   /// Number of processes whose coordination_active() is true (null =
@@ -135,15 +136,27 @@ struct ProcessContext {
   /// note_coordination() at the end of every entry point, so "is any
   /// coordination in flight?" is one load instead of an O(n) scan.
   std::size_t* coordinating = nullptr;
+  /// Run-wide state of the run's algorithm, shared by all its instances
+  /// (core::CaoSinghalShared for Cao-Singhal: its options and the
+  /// termination record); null for algorithms that need none.
+  void* algorithm = nullptr;
+  /// Application observer, fired after every processed computation
+  /// message (examples and tests attach here; m.dst is the receiver).
+  std::function<void(const Message&)> on_app_message;
 };
 
 class CheckpointProtocol {
  public:
   virtual ~CheckpointProtocol() = default;
 
-  void bind(const ProcessContext& ctx);
-  ProcessId self() const { return ctx_.self; }
-  const ProcessContext& context() const { return ctx_; }
+  /// Attaches this instance to its run as process `self`; `ctx` must
+  /// outlive it.
+  void bind(const RunContext& ctx, ProcessId self) {
+    ctx_ = &ctx;
+    self_ = self;
+  }
+  ProcessId self() const { return self_; }
+  const RunContext& context() const { return *ctx_; }
 
   // ---- application surface -------------------------------------------
   /// Sends one computation message to `dst` (deferred while blocked).
@@ -162,17 +175,13 @@ class CheckpointProtocol {
   /// True while this process holds uncommitted coordination state (used
   /// by the harness to serialize initiations, Section 3.3's "at most one
   /// checkpointing is in progress" assumption). The harness reads it
-  /// through ProcessContext::coordinating, refreshed by
+  /// through RunContext::coordinating, refreshed by
   /// note_coordination().
   virtual bool coordination_active() const { return in_checkpointing(); }
 
   /// True if this process currently suppresses its underlying computation
   /// (only the blocking baseline ever returns true).
   bool blocked() const { return blocked_; }
-
-  /// Invoked after a computation message has been processed; examples and
-  /// tests attach observers here.
-  std::function<void(const Message&)> on_app_message;
 
   // ---- transport surface ---------------------------------------------
   void on_deliver(const Message& m);
@@ -189,7 +198,7 @@ class CheckpointProtocol {
 
   /// Honest on-air size of a system payload, used when
   /// TimingConfig::use_wire_sizes is set. The default asks the universal
-  /// codec in ProcessContext::codec, which covers every payload type of
+  /// codec in RunContext::codec, which covers every payload type of
   /// every algorithm; 0 = no codec, fall back to the fixed sys_msg_bytes
   /// budget.
   virtual std::uint64_t system_payload_wire_size(const Payload& p) const;
@@ -203,7 +212,7 @@ class CheckpointProtocol {
   void broadcast_system(MsgKind kind, std::shared_ptr<const Payload> payload);
 
   /// Records the processing of computation message `m` (the receive event)
-  /// and fires the application observer. Every algorithm must call this
+  /// and fires the run's application observer. Every algorithm must call this
   /// exactly once per delivered computation message, *after* any
   /// checkpoint it decides to take first.
   void process_computation(const Message& m);
@@ -215,11 +224,23 @@ class CheckpointProtocol {
   /// returns its completion time (the moment a reply may be sent).
   sim::SimTime start_stable_transfer();
 
-  void block();
-  void unblock();
+  /// Called by send_computation() instead of sending while blocked_ is
+  /// set; only a blocking protocol sets it, and it must override this.
+  virtual void defer_computation(ProcessId dst);
+
+  /// One guarded flight-recorder append stamped with the current time
+  /// and this process; the null test is the whole cost when tracing is
+  /// off (the tracer never changes during a run).
+  void trace(obs::TraceKind kind, std::uint8_t sub, std::uint16_t aux,
+             std::uint64_t arg0, std::uint64_t arg1) const {
+    if (ctx_->tracer != nullptr) {
+      ctx_->tracer->record(kind, ctx_->sim->now(), self_, sub, aux, arg0,
+                           arg1);
+    }
+  }
 
   /// Re-evaluates coordination_active() and moves the harness count
-  /// (ProcessContext::coordinating) by the change. Called at the end of
+  /// (RunContext::coordinating) by the change. Called at the end of
   /// every entry point — delivery, initiate(), send_computation() and
   /// timers scheduled through schedule_timer_at/after — and by
   /// algorithm entry points of their own (restart, disconnect). The
@@ -230,11 +251,11 @@ class CheckpointProtocol {
     const bool active = coordination_active();
     if (active == coordinating_) return;
     coordinating_ = active;
-    if (ctx_.coordinating != nullptr) {
+    if (ctx_->coordinating != nullptr) {
       if (active) {
-        ++*ctx_.coordinating;
+        ++*ctx_->coordinating;
       } else {
-        --*ctx_.coordinating;
+        --*ctx_->coordinating;
       }
     }
   }
@@ -242,25 +263,24 @@ class CheckpointProtocol {
   /// Schedules a protocol timer; note_coordination() runs after `fn`.
   template <typename Fn>
   void schedule_timer_at(sim::SimTime at, Fn&& fn) {
-    ctx_.sim->schedule_at(at, [this, f = std::forward<Fn>(fn)]() mutable {
+    ctx_->sim->schedule_at(at, [this, f = std::forward<Fn>(fn)]() mutable {
       f();
       note_coordination();
     });
   }
   template <typename Fn>
   void schedule_timer_after(sim::SimTime delay, Fn&& fn) {
-    schedule_timer_at(ctx_.sim->now() + delay, std::forward<Fn>(fn));
+    schedule_timer_at(ctx_->sim->now() + delay, std::forward<Fn>(fn));
   }
 
-  ProcessContext ctx_;
+  const RunContext* ctx_ = nullptr;
+  ProcessId self_ = kInvalidProcess;
+  /// Set while the computation is suppressed (only the blocking baseline
+  /// sets it; see defer_computation()).
+  bool blocked_ = false;
 
  private:
-  void dispatch_deferred();
-
-  bool blocked_ = false;
   bool coordinating_ = false;  // last value note_coordination() saw
-  sim::SimTime blocked_since_ = -1;
-  std::vector<ProcessId> deferred_sends_;
 };
 
 }  // namespace mck::rt

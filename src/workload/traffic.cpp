@@ -1,8 +1,53 @@
 #include "workload/traffic.hpp"
 
+#include <stdexcept>
+#include <string>
+
 #include "util/assert.hpp"
 
 namespace mck::workload {
+
+namespace {
+
+/// Rejects a mean inter-send gap (seconds) the exponential sampler cannot
+/// use: NaN, non-positive, under one SimTime tick, or past 1e9 s.
+void check_gap(double seconds, const std::string& what) {
+  if (!(seconds >= 1e-9 && seconds <= 1e9)) {
+    throw std::invalid_argument(what + " gives a mean send gap of " +
+                                std::to_string(seconds) +
+                                " s; it must be in [1e-9, 1e9] s");
+  }
+}
+
+}  // namespace
+
+void PointToPointWorkload::validate(int num_processes,
+                                    double msgs_per_second) {
+  if (num_processes < 2) {
+    throw std::invalid_argument("workload: needs >= 2 processes, got " +
+                                std::to_string(num_processes));
+  }
+  check_gap(1.0 / msgs_per_second,
+            "workload: rate " + std::to_string(msgs_per_second));
+}
+
+void GroupWorkload::validate(int num_processes, int num_groups,
+                             double intra_msgs_per_second, double ratio) {
+  if (num_groups < 2) {
+    throw std::invalid_argument("group workload: needs >= 2 groups, got " +
+                                std::to_string(num_groups));
+  }
+  if (num_processes % num_groups != 0 || num_processes / num_groups < 2) {
+    throw std::invalid_argument(
+        "group workload: " + std::to_string(num_groups) +
+        " groups must split " + std::to_string(num_processes) +
+        " processes evenly into groups of >= 2");
+  }
+  check_gap(1.0 / intra_msgs_per_second,
+            "group workload: rate " + std::to_string(intra_msgs_per_second));
+  check_gap(ratio / intra_msgs_per_second,
+            "group workload: ratio " + std::to_string(ratio));
+}
 
 // ---------------------------------------------------------------------
 // Point-to-point
@@ -45,12 +90,10 @@ GroupWorkload::GroupWorkload(sim::Simulator& sim, sim::Rng& rng,
       rng_(rng),
       n_(num_processes),
       groups_(num_groups),
-      intra_gap_(sim::from_seconds(1.0 / intra_msgs_per_second)),
-      inter_gap_(sim::from_seconds(ratio / intra_msgs_per_second)),
       send_(std::move(send)) {
-  MCK_ASSERT(num_groups >= 2);
-  MCK_ASSERT(num_processes % num_groups == 0);
-  MCK_ASSERT(num_processes / num_groups >= 2);
+  validate(num_processes, num_groups, intra_msgs_per_second, ratio);
+  intra_gap_ = sim::from_seconds(1.0 / intra_msgs_per_second);
+  inter_gap_ = sim::from_seconds(ratio / intra_msgs_per_second);
 }
 
 void GroupWorkload::start(sim::SimTime horizon) {

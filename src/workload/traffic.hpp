@@ -24,13 +24,18 @@ using SendFn = std::function<void(ProcessId src, ProcessId dst)>;
 
 class PointToPointWorkload {
  public:
+  /// Throws std::invalid_argument (see validate()).
   PointToPointWorkload(sim::Simulator& sim, sim::Rng& rng, int num_processes,
                        double msgs_per_second, SendFn send)
-      : sim_(sim),
-        rng_(rng),
-        n_(num_processes),
-        mean_gap_(sim::from_seconds(1.0 / msgs_per_second)),
-        send_(std::move(send)) {}
+      : sim_(sim), rng_(rng), n_(num_processes), send_(std::move(send)) {
+    validate(num_processes, msgs_per_second);
+    mean_gap_ = sim::from_seconds(1.0 / msgs_per_second);
+  }
+
+  /// Throws std::invalid_argument unless there are >= 2 processes and
+  /// the rate is finite, positive and gives a mean gap between 1 ns and
+  /// 1e9 s (what SimTime represents).
+  static void validate(int num_processes, double msgs_per_second);
 
   void start(sim::SimTime horizon);
   /// Sharded mode: drive only the region's own processes. Destinations
@@ -44,7 +49,7 @@ class PointToPointWorkload {
   sim::Simulator& sim_;
   sim::Rng& rng_;
   int n_;
-  sim::SimTime mean_gap_;
+  sim::SimTime mean_gap_ = 0;
   SendFn send_;
   sim::SimTime horizon_ = 0;
 };
@@ -52,10 +57,18 @@ class PointToPointWorkload {
 class GroupWorkload {
  public:
   /// `ratio`: how many times faster intragroup sending is than intergroup
-  /// sending for a leader (1000x / 10000x in Fig. 6).
+  /// sending for a leader (1000x / 10000x in Fig. 6). Throws
+  /// std::invalid_argument (see validate()).
   GroupWorkload(sim::Simulator& sim, sim::Rng& rng, int num_processes,
                 int num_groups, double intra_msgs_per_second, double ratio,
                 SendFn send);
+
+  /// Throws std::invalid_argument unless there are >= 2 groups that
+  /// split the processes evenly into groups of >= 2, and both the
+  /// intragroup rate and the intergroup gap (ratio / rate) are
+  /// representable as for PointToPointWorkload::validate().
+  static void validate(int num_processes, int num_groups,
+                       double intra_msgs_per_second, double ratio);
 
   void start(sim::SimTime horizon);
   /// Sharded mode: drive only the region's own processes (see
@@ -77,8 +90,8 @@ class GroupWorkload {
   sim::Rng& rng_;
   int n_;
   int groups_;
-  sim::SimTime intra_gap_;
-  sim::SimTime inter_gap_;
+  sim::SimTime intra_gap_ = 0;
+  sim::SimTime inter_gap_ = 0;
   SendFn send_;
   sim::SimTime horizon_ = 0;
 };

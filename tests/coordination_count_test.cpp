@@ -1,6 +1,6 @@
 // The harness's O(1) "is any coordination in flight?" answer
 // (System::any_coordination_active) reads a count the protocols keep
-// themselves (rt::ProcessContext::coordinating). These runs step the
+// themselves (rt::RunContext::coordinating). These runs step the
 // simulator one event at a time and, after every event, recount the
 // processes whose coordination_active() predicate is true — the O(n) scan
 // the count replaced lives on only here, as the reference.

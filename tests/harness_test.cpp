@@ -2,6 +2,7 @@
 // (Section 5.1), experiment aggregation, and statistics plumbing.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -273,6 +274,50 @@ TEST(Experiment, TchDecompositionMatchesPaperPremise) {
   EXPECT_GT(res.t_data_s.mean(), 1.0);
   EXPECT_NEAR(res.commit_delay_s.mean(),
               res.t_msg_s.mean() + res.t_data_s.mean(), 1e-9);
+}
+
+TEST(ExperimentConfigValidate, RejectsWhatNoRunCanUse) {
+  harness::ExperimentConfig ok;
+  EXPECT_NO_THROW(ok.validate());
+  auto bad = [](auto mutate) {
+    harness::ExperimentConfig c;
+    mutate(c);
+    return c;
+  };
+  using C = harness::ExperimentConfig;
+  EXPECT_THROW(bad([](C& c) { c.horizon = -sim::seconds(3600); }).validate(),
+               std::invalid_argument);
+  EXPECT_THROW(bad([](C& c) { c.horizon = 0; }).validate(),
+               std::invalid_argument);
+  EXPECT_THROW(bad([](C& c) { c.ckpt_interval = 0; }).validate(),
+               std::invalid_argument);
+  EXPECT_THROW(bad([](C& c) { c.sys.num_processes = 1; }).validate(),
+               std::invalid_argument);
+  EXPECT_THROW(bad([](C& c) { c.sys.lan.bandwidth_bps = 0; }).validate(),
+               std::invalid_argument);
+  EXPECT_THROW(bad([](C& c) { c.rate = std::nan(""); }).validate(),
+               std::invalid_argument);
+  EXPECT_THROW(bad([](C& c) {
+                 c.workload = harness::WorkloadKind::kGroup;
+                 c.groups = 3;  // does not divide the default 16
+               }).validate(),
+               std::invalid_argument);
+  EXPECT_THROW(bad([](C& c) {
+                 c.workload = harness::WorkloadKind::kGroup;
+                 c.group_ratio = 0;
+               }).validate(),
+               std::invalid_argument);
+  EXPECT_THROW(bad([](C& c) {
+                 c.capture_timeline = true;
+                 c.timeline_interval = 0;
+               }).validate(),
+               std::invalid_argument);
+  EXPECT_THROW(bad([](C& c) { c.initiator_limit = -1; }).validate(),
+               std::invalid_argument);
+  // run_replicated validates before any repetition starts.
+  EXPECT_THROW(harness::run_replicated(
+                   bad([](C& c) { c.horizon = -1; }), 2, 1),
+               std::invalid_argument);
 }
 
 }  // namespace

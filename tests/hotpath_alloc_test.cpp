@@ -172,8 +172,7 @@ TEST(HotPathAllocs, PooledMessageThroughLanTransportIsAllocationFree) {
   sim::Simulator sim;
   net::LanTransport lan(sim, 2, net::LanParams{});
   std::uint64_t delivered = 0;
-  lan.set_sink(0, [&](const rt::Message&) { ++delivered; });
-  lan.set_sink(1, [&](const rt::Message&) { ++delivered; });
+  lan.set_sink([&](const rt::Message&) { ++delivered; });
 
   auto send_one = [&](std::uint64_t i) {
     rt::Message m;
@@ -208,9 +207,7 @@ TEST(HotPathAllocs, CellularPointToPointSteadyStateIsAllocationFree) {
   params.cells_per_mss = 3;
   mobile::CellularTransport cell(sim, 1000, params);
   std::uint64_t delivered = 0;
-  for (ProcessId p = 0; p < 1000; ++p) {
-    cell.set_sink(p, [&](const rt::Message&) { ++delivered; });
-  }
+  cell.set_sink([&](const rt::Message&) { ++delivered; });
   auto send_one = [&](std::uint64_t i) {
     rt::Message m;
     m.src = static_cast<ProcessId>((i * 131) % 1000);
@@ -249,9 +246,7 @@ TEST(HotPathAllocs, CellularBroadcastCostsO1EventsAndAllocations) {
   params.cells_per_mss = 3;
   mobile::CellularTransport cell(sim, 1000, params);
   std::uint64_t delivered = 0;
-  for (ProcessId p = 0; p < 1000; ++p) {
-    cell.set_sink(p, [&](const rt::Message&) { ++delivered; });
-  }
+  cell.set_sink([&](const rt::Message&) { ++delivered; });
   auto broadcast_one = [&] {
     rt::Message m;
     m.src = 7;
@@ -288,9 +283,7 @@ TEST(HotPathAllocs, FanoutRowIsMadeOnceAndIsExactlyOneChannelPerHost) {
   params.cells_per_mss = 48;
   mobile::CellularTransport cell(sim, n, params);
   std::uint64_t delivered = 0;
-  for (ProcessId p = 0; p < n; ++p) {
-    cell.set_sink(p, [&](const rt::Message&) { ++delivered; });
-  }
+  cell.set_sink([&](const rt::Message&) { ++delivered; });
   auto broadcast_from = [&](ProcessId src) {
     rt::Message m;
     m.src = src;

@@ -29,9 +29,9 @@ TEST(Mobility, DisconnectBuffersAndReconnectReplaysInOrder) {
   auto* cell = sys.cellular();
 
   std::vector<MessageId> received;
-  sys.cao(1).on_app_message = [&](const rt::Message& m) {
-    received.push_back(m.id);
-  };
+  sys.set_app_observer([&](const rt::Message& m) {
+    if (m.dst == 1) received.push_back(m.id);
+  });
 
   sys.simulator().schedule_at(sim::milliseconds(10), [&] {
     sys.cao(1).on_disconnect();
@@ -98,9 +98,9 @@ TEST(Mobility, CheckpointRequestHandledWhileDisconnected) {
 TEST(Mobility, HandoffPreservesPerChannelFifo) {
   System sys(cellular_options(3, 3));
   std::vector<MessageId> received;
-  sys.cao(1).on_app_message = [&](const rt::Message& m) {
-    received.push_back(m.id);
-  };
+  sys.set_app_observer([&](const rt::Message& m) {
+    if (m.dst == 1) received.push_back(m.id);
+  });
   // A burst of messages; the receiver hops cells mid-burst so later
   // messages take the short path while earlier ones get rerouted.
   for (int i = 0; i < 10; ++i) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -357,13 +358,42 @@ struct LanFixture {
 
   explicit LanFixture(int n, net::LanParams params = {})
       : lan(sim, n, params) {
-    for (ProcessId p = 0; p < n; ++p) {
-      lan.set_sink(p, [this, p](const rt::Message&) {
-        delivered.emplace_back(p, sim.now());
-      });
-    }
+    lan.set_sink([this](const rt::Message& m) {
+      delivered.emplace_back(m.dst, sim.now());
+    });
   }
 };
+
+TEST(LanTransport, ValidateRejectsOutOfRangeParams) {
+  net::LanParams ok;
+  EXPECT_NO_THROW(ok.validate());
+  auto bad = [](auto mutate) {
+    net::LanParams p;
+    mutate(p);
+    return p;
+  };
+  EXPECT_THROW(bad([](net::LanParams& p) { p.bandwidth_bps = 0; }).validate(),
+               std::invalid_argument);
+  EXPECT_THROW(
+      bad([](net::LanParams& p) { p.bandwidth_bps = std::nan(""); }).validate(),
+      std::invalid_argument);
+  EXPECT_THROW(
+      bad([](net::LanParams& p) { p.propagation_delay = -1; }).validate(),
+      std::invalid_argument);
+  EXPECT_THROW(
+      bad([](net::LanParams& p) { p.loss_probability = 1.0; }).validate(),
+      std::invalid_argument);
+  EXPECT_THROW(
+      bad([](net::LanParams& p) { p.loss_probability = -0.1; }).validate(),
+      std::invalid_argument);
+  EXPECT_THROW(bad([](net::LanParams& p) { p.retry_backoff = -1; }).validate(),
+               std::invalid_argument);
+  sim::Simulator simu;
+  EXPECT_THROW(
+      net::LanTransport(simu, 2,
+                        bad([](net::LanParams& p) { p.bandwidth_bps = -2; })),
+      std::invalid_argument);
+}
 
 TEST(LanTransport, PaperDelaysExactly) {
   // 1 KB computation message at 2 Mbps -> 4 ms; 50 B system msg -> 0.2 ms.
@@ -469,11 +499,9 @@ struct CellFixture {
 
   explicit CellFixture(int n, mobile::CellularParams params = {})
       : cell(sim, n, params) {
-    for (ProcessId p = 0; p < n; ++p) {
-      cell.set_sink(p, [this, p](const rt::Message&) {
-        delivered.emplace_back(p, sim.now());
-      });
-    }
+    cell.set_sink([this](const rt::Message& m) {
+      delivered.emplace_back(m.dst, sim.now());
+    });
   }
 };
 
@@ -584,8 +612,9 @@ TEST(LanTransport, LossyLinkJittersButPreservesFifo) {
   params.loss_probability = 0.4;
   net::LanTransport lan(simu, 2, params, &rng);
   std::vector<std::uint64_t> order;
-  lan.set_sink(0, [](const rt::Message&) {});
-  lan.set_sink(1, [&](const rt::Message& m) { order.push_back(m.channel_seq); });
+  lan.set_sink([&](const rt::Message& m) {
+    if (m.dst == 1) order.push_back(m.channel_seq);
+  });
   for (int i = 0; i < 50; ++i) {
     rt::Message m = make_msg(0, 1, 1000);
     lan.send(std::move(m));

@@ -215,13 +215,10 @@ TEST(KooTouegDeferred, FlushPreservesSendOrder) {
   kt_opts.algorithm = Algorithm::kKooToueg;
   System sys(kt_opts);
   std::vector<MessageId> received;
-  // All processes report receives into one list; P1's two deferred sends
-  // to P3 must arrive in submission order.
-  for (ProcessId p = 0; p < 4; ++p) {
-    sys.proto(p).on_app_message = [&](const rt::Message& m) {
-      if (m.dst == 3) received.push_back(m.id);
-    };
-  }
+  // P1's two deferred sends to P3 must arrive in submission order.
+  sys.set_app_observer([&](const rt::Message& m) {
+    if (m.dst == 3) received.push_back(m.id);
+  });
   ScriptedWorkload wl(
       sys.simulator(),
       [&sys](ProcessId a, ProcessId b) { sys.send(a, b); },
@@ -274,7 +271,9 @@ TEST(CellularEdge, ReconnectIntoDifferentCellReroutesNothingStale) {
   opts.cellular.num_mss = 3;
   System sys(opts);
   int delivered = 0;
-  sys.cao(1).on_app_message = [&](const rt::Message&) { ++delivered; };
+  sys.set_app_observer([&](const rt::Message& m) {
+    if (m.dst == 1) ++delivered;
+  });
 
   sys.simulator().schedule_at(sim::milliseconds(10), [&] {
     sys.cao(1).on_disconnect();
@@ -301,7 +300,9 @@ TEST(CellularEdge, BackToBackDisconnectCycles) {
   opts.cellular.num_mss = 2;
   System sys(opts);
   int delivered = 0;
-  sys.cao(1).on_app_message = [&](const rt::Message&) { ++delivered; };
+  sys.set_app_observer([&](const rt::Message& m) {
+    if (m.dst == 1) ++delivered;
+  });
   for (int cycle = 0; cycle < 3; ++cycle) {
     sim::SimTime base = sim::seconds(10 * cycle + 1);
     sys.simulator().schedule_at(base, [&] {

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <map>
+#include <stdexcept>
 
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
@@ -130,6 +133,44 @@ TEST(Scripted, ExecutesStepsAtExactTimes) {
   ASSERT_EQ(log.size(), 2u);
   EXPECT_EQ(log[0], std::make_pair(sim::milliseconds(5), 12));
   EXPECT_EQ(log[1], std::make_pair(sim::milliseconds(7), 103));
+}
+
+TEST(WorkloadValidate, RejectsRatesTheSamplerCannotUse) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_NO_THROW(PointToPointWorkload::validate(16, 0.1));
+  EXPECT_THROW(PointToPointWorkload::validate(16, nan), std::invalid_argument);
+  EXPECT_THROW(PointToPointWorkload::validate(16, 0.0), std::invalid_argument);
+  EXPECT_THROW(PointToPointWorkload::validate(16, -1.0), std::invalid_argument);
+  EXPECT_THROW(PointToPointWorkload::validate(16, inf), std::invalid_argument);
+  EXPECT_THROW(PointToPointWorkload::validate(16, 1e12),  // gap < 1 ns
+               std::invalid_argument);
+  EXPECT_THROW(PointToPointWorkload::validate(1, 0.1), std::invalid_argument);
+  sim::Simulator simu;
+  sim::Rng rng(1);
+  EXPECT_THROW(PointToPointWorkload(simu, rng, 8, nan,
+                                    [](ProcessId, ProcessId) {}),
+               std::invalid_argument);
+}
+
+TEST(WorkloadValidate, RejectsGroupShapesAndRatios) {
+  EXPECT_NO_THROW(GroupWorkload::validate(16, 4, 0.1, 1000.0));
+  EXPECT_THROW(GroupWorkload::validate(16, 3, 0.1, 1000.0),  // 16 % 3 != 0
+               std::invalid_argument);
+  EXPECT_THROW(GroupWorkload::validate(16, 1, 0.1, 1000.0),
+               std::invalid_argument);
+  EXPECT_THROW(GroupWorkload::validate(16, 16, 0.1, 1000.0),  // groups of 1
+               std::invalid_argument);
+  EXPECT_THROW(GroupWorkload::validate(16, 4, 0.1, 0.0), std::invalid_argument);
+  EXPECT_THROW(GroupWorkload::validate(16, 4, 0.1, -5.0),
+               std::invalid_argument);
+  EXPECT_THROW(GroupWorkload::validate(16, 4, std::nan(""), 1000.0),
+               std::invalid_argument);
+  sim::Simulator simu;
+  sim::Rng rng(1);
+  EXPECT_THROW(GroupWorkload(simu, rng, 16, 3, 0.1, 1000.0,
+                             [](ProcessId, ProcessId) {}),
+               std::invalid_argument);
 }
 
 }  // namespace

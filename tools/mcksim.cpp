@@ -11,9 +11,11 @@
 //
 // Prints the paper's per-initiation metrics for one configuration;
 // --csv emits a machine-readable row instead.
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 
 #include "harness/experiment.hpp"
@@ -133,6 +135,8 @@ int main(int argc, char** argv) {
       if (cfg.ckpt_interval <= 0) usage("--interval must be positive");
     } else if (arg == "--hours") {
       hours = std::atof(next());
+      // from_seconds() below must not overflow SimTime (~292 years).
+      if (!(std::fabs(hours) <= 1e6)) usage("--hours must be within 1e6");
     } else if (arg == "--workload") {
       std::string w = next();
       if (w == "p2p") {
@@ -229,6 +233,11 @@ int main(int argc, char** argv) {
   if (harness::resolve_shards(shards) >= 1 &&
       cfg.sys.lan.mode == net::MediumMode::kShared) {
     usage("--shared-medium is incompatible with --shards");
+  }
+  try {
+    cfg.validate();
+  } catch (const std::invalid_argument& e) {
+    usage(e.what());
   }
 
   harness::RunResult res = harness::run_replicated(cfg, reps, jobs, shards);
