@@ -125,7 +125,7 @@ class TerminationRecord {
   std::unordered_map<ckpt::InitiationId, Entry> map_;
 };
 
-/// Run-wide Cao-Singhal state: one per System (one per sharded region),
+/// Run-wide Cao-Singhal state: one per System,
 /// reached through rt::RunContext::algorithm, so the options and the
 /// termination record are stored once instead of once per process.
 struct CaoSinghalShared {

@@ -45,7 +45,7 @@ class SparseMr {
     bool operator==(const Slot&) const = default;
   };
 
-  /// Payloads cross region boundaries, so SparseMr storage is never
+  /// Payloads outlive the sender's state, so SparseMr storage is never
   /// arena-backed: inline up to 4 slots, global heap beyond (see
   /// util/arena.hpp ownership rules).
   using Storage = util::SmallVec<Slot, 4>;

@@ -10,7 +10,6 @@
 #include <thread>
 #include <vector>
 
-#include "harness/sharded.hpp"
 #include "util/assert.hpp"
 #include "workload/traffic.hpp"
 
@@ -276,6 +275,8 @@ void aggregate_initiations(
   }
 }
 
+namespace {
+
 // SplitMix64 finalizer (Steele/Lea/Flood, JPDC 2014): a bijective 64-bit
 // mix whose outputs pass BigCrush even on consecutive inputs.
 std::uint64_t splitmix64(std::uint64_t x) {
@@ -284,6 +285,8 @@ std::uint64_t splitmix64(std::uint64_t x) {
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
 }
+
+}  // namespace
 
 std::uint64_t replication_seed(std::uint64_t base, int rep) {
   MCK_ASSERT(rep >= 0);
@@ -304,21 +307,10 @@ int resolve_jobs(int jobs) {
   return 1;
 }
 
-int resolve_shards(int shards) {
-  if (shards >= 1) return shards;
-  if (const char* env = std::getenv("MCK_SHARDS")) {
-    int n = std::atoi(env);
-    if (n >= 1) return n;
-  }
-  return 0;  // legacy serial engine
-}
-
-RunResult run_replicated(ExperimentConfig config, int reps, int jobs,
-                         int shards) {
+RunResult run_replicated(ExperimentConfig config, int reps, int jobs) {
   MCK_ASSERT(reps >= 0);
   config.validate();
   jobs = resolve_jobs(jobs);
-  shards = resolve_shards(shards);
 
   // Each replication is an independent simulation (its System owns the
   // event queue, RNG, stats, and transport), so they parallelize with no
@@ -332,8 +324,7 @@ RunResult run_replicated(ExperimentConfig config, int reps, int jobs,
       if (r >= reps) return;
       ExperimentConfig c = config;
       c.sys.seed = replication_seed(config.sys.seed, r);
-      results[static_cast<std::size_t>(r)] =
-          shards >= 1 ? run_sharded_experiment(c, shards) : run_experiment(c);
+      results[static_cast<std::size_t>(r)] = run_experiment(c);
     }
   };
 

@@ -51,8 +51,9 @@ std::uint64_t pull_forwarded_total(const void* ctx) {
       ->messages_forwarded();
 }
 
-}  // namespace
-
+// Registers the standard cumulative pull sources on a timeline sampler:
+// RunStats totals, arena telemetry and (when `cell` is non-null) the
+// cellular transport's buffered/forwarded counters.
 void register_timeline_pulls(obs::TimelineSampler& tl,
                              const rt::RunStats* stats,
                              const util::Arena* arena,
@@ -70,6 +71,8 @@ void register_timeline_pulls(obs::TimelineSampler& tl,
     tl.add_pull(obs::kColForwardedTotal, &pull_forwarded_total, cell);
   }
 }
+
+}  // namespace
 
 const char* to_string(Algorithm a) {
   switch (a) {
@@ -165,6 +168,9 @@ ProtocolSet::~ProtocolSet() {
   for (std::byte* slab : slabs_) ::operator delete(slab);
 }
 
+namespace {
+
+// Post-bind initialization: calls the algorithm-specific start().
 void start_protocol(Algorithm a, rt::CheckpointProtocol& proto) {
   switch (a) {
     case Algorithm::kCaoSinghal:
@@ -191,6 +197,8 @@ void start_protocol(Algorithm a, rt::CheckpointProtocol& proto) {
       break;
   }
 }
+
+}  // namespace
 
 System::System(SystemOptions opts)
     : opts_(opts),

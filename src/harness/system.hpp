@@ -50,7 +50,7 @@ const char* to_string(Algorithm a);
 /// and uncoordinated checkpointing have no committed global lines).
 bool has_committed_lines(Algorithm a);
 
-/// The protocol instances of one run (or sharded region), unbound, in
+/// The protocol instances of one run, unbound, in
 /// slabs of 4096 contiguous objects: the algorithm, hence the object
 /// size, is fixed per run, so n processes cost n/4096 allocations and no
 /// per-process pointer. A slab (under 1 MB) stays an ordinary heap chunk
@@ -96,18 +96,6 @@ class ProtocolSet {
   std::size_t base_offset_ = 0;  // of the CheckpointProtocol subobject
   std::size_t count_ = 0;
 };
-
-/// Post-bind initialization: calls the algorithm-specific start().
-void start_protocol(Algorithm a, rt::CheckpointProtocol& proto);
-
-/// Registers the standard cumulative pull sources on a timeline sampler:
-/// RunStats totals, arena telemetry and (when `cell` is non-null) the
-/// cellular transport's buffered/forwarded counters. Shared by System and
-/// the sharded engine's per-region wiring so both emit identical columns.
-void register_timeline_pulls(obs::TimelineSampler& tl,
-                             const rt::RunStats* stats,
-                             const util::Arena* arena,
-                             const mobile::CellularTransport* cell);
 
 enum class TransportKind { kLan, kCellular };
 

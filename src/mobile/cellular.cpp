@@ -87,11 +87,6 @@ void CellularTransport::launch(rt::Message msg) {
   MssId src_mss = mss_of_[static_cast<std::size_t>(msg.src)];
   MssId dst_mss = mss_of_[static_cast<std::size_t>(msg.dst)];
   sim::SimTime at = sim_.now() + path_delay(src_mss, dst_mss, msg.size_bytes);
-  if (!owned_.empty() && !owned_[static_cast<std::size_t>(msg.dst)]) {
-    MCK_ASSERT(at >= sim_.now() + min_cross_delay());
-    emit_(at, std::move(msg), dst_mss);  // cross-region: the engine routes it
-    return;
-  }
   sim_.schedule_at(at, [this, m = std::move(msg), dst_mss]() mutable {
     arrive(std::move(m), dst_mss);
   });
@@ -139,17 +134,6 @@ void CellularTransport::broadcast(rt::Message msg) {
     if (p == msg.src) continue;
     if (timeline_ != nullptr) ++timeline_->in_flight;
     const MssId dst_mss = mss_of_[static_cast<std::size_t>(p)];
-    if (!owned_.empty() && !owned_[static_cast<std::size_t>(p)]) {
-      // Cross-region recipients keep the per-recipient emit path: the
-      // sharded engine routes each message to its owner region itself.
-      rt::Message copy = msg;
-      copy.dst = p;
-      copy.channel_seq = row.stamp(p);
-      sim::SimTime at = sim_.now() + (dst_mss == src_mss ? d_local : d_remote);
-      MCK_ASSERT(at >= sim_.now() + min_cross_delay());
-      emit_(at, std::move(copy), dst_mss);
-      continue;
-    }
     BroadcastBatch& b =
         (single_class || dst_mss == src_mss) ? *local : *remote;
     b.entries.push_back(BroadcastEntry{p, row.stamp(p), dst_mss});
@@ -298,7 +282,6 @@ sim::SimTime CellularTransport::transfer_bulk(ProcessId src,
 }
 
 void CellularTransport::handoff(ProcessId pid, MssId to) {
-  MCK_ASSERT_MSG(owned_.empty(), "mobility unsupported with --shards");
   MCK_ASSERT(to >= 0 && to < params_.num_mss);
   MCK_ASSERT_MSG(!is_disconnected(pid), "handoff while disconnected");
   if (mss_of_[static_cast<std::size_t>(pid)] == to) return;
@@ -316,7 +299,6 @@ void CellularTransport::handoff(ProcessId pid, MssId to) {
 }
 
 void CellularTransport::disconnect(ProcessId pid) {
-  MCK_ASSERT_MSG(owned_.empty(), "mobility unsupported with --shards");
   MCK_ASSERT(!is_disconnected(pid));
   disconnected_[static_cast<std::size_t>(pid)] = 1;
   if (timeline_ != nullptr) ++timeline_->disconnected;
@@ -329,7 +311,6 @@ void CellularTransport::disconnect(ProcessId pid) {
 }
 
 void CellularTransport::reconnect(ProcessId pid, MssId at) {
-  MCK_ASSERT_MSG(owned_.empty(), "mobility unsupported with --shards");
   MCK_ASSERT(is_disconnected(pid));
   MCK_ASSERT(at >= 0 && at < params_.num_mss);
   disconnected_[static_cast<std::size_t>(pid)] = 0;

@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <utility>
@@ -78,8 +77,7 @@ class CellularTransport final : public rt::Transport {
   /// Hierarchical topology: the wireless cell hosting `pid`. Cell c is
   /// served by MSS c % num_mss, so with the static round-robin placement
   /// cell_of(p) = p % num_cells and mss_of(p) = p % num_mss — the flat
-  /// topology's MSS assignment (and therefore PR 6's per-MSS shard
-  /// ownership) is unchanged for every cells_per_mss.
+  /// topology's MSS assignment is unchanged for every cells_per_mss.
   int cell_of(ProcessId pid) const {
     return cell_of_[static_cast<std::size_t>(pid)];
   }
@@ -119,38 +117,6 @@ class CellularTransport final : public rt::Transport {
   /// and the disconnected-MH gauge.
   void set_timeline(obs::TimelineCounters* t) { timeline_ = t; }
 
-  /// Sharded-mode hook (conservative PDES): this transport instance now
-  /// serves one cell's region. A message bound for a process outside
-  /// `owned` is handed to `emit` (stamped, with its final arrival time
-  /// and destination MSS) instead of being scheduled locally; the engine
-  /// routes it to the destination region, which calls inject(). Mobility
-  /// (handoff / disconnect / reconnect) is unsupported in sharded mode —
-  /// placement must stay static so ownership is well-defined.
-  using EmitFn =
-      std::function<void(sim::SimTime at, rt::Message msg, MssId routed_to)>;
-  void set_shard_region(std::vector<std::uint8_t> owned, EmitFn emit) {
-    MCK_ASSERT(owned.size() == static_cast<std::size_t>(num_processes_));
-    owned_ = std::move(owned);
-    emit_ = std::move(emit);
-  }
-
-  /// Destination side of a cross-region message: finishes the delivery
-  /// this region's launch would have scheduled.
-  void inject(sim::SimTime at, rt::Message msg, MssId routed_to) {
-    MCK_ASSERT(at >= sim_.now());
-    sim_.schedule_at(at, [this, m = std::move(msg), routed_to]() mutable {
-      arrive(std::move(m), routed_to);
-    });
-  }
-
-  /// Lower bound on the latency of any cross-region (= cross-cell)
-  /// message: uplink + backbone hop + downlink of a one-byte frame. The
-  /// conservative lookahead.
-  sim::SimTime min_cross_delay() const {
-    return wireless_tx(1) + params_.wired_latency + wired_tx(1) +
-           wireless_tx(1);
-  }
-
  private:
   /// One recipient of a coalesced broadcast: everything that had to be
   /// captured at send time — the FIFO stamp and the routing snapshot (an
@@ -182,8 +148,6 @@ class CellularTransport final : public rt::Transport {
   obs::TimelineCounters* timeline_ = nullptr;
   int num_processes_;
   rt::DeliverFn sink_;
-  std::vector<std::uint8_t> owned_;  // sharded mode: pids this region runs
-  EmitFn emit_;                      // sharded mode: cross-region handoff
   std::vector<MssId> mss_of_;
   std::vector<int> cell_of_;
   std::vector<std::uint8_t> disconnected_;

@@ -403,15 +403,6 @@ TraceDiff diff_traces(const TraceFile& a, const TraceFile& b,
   if (a.meta.algo != b.meta.algo) {
     meta_issue("algorithm differs: " + a.meta.algo + " vs " + b.meta.algo);
   }
-  if (a.version != b.version) {
-    // Informational only: MCKTRC01 vs 02 changes the envelope, not the
-    // records — the record streams are still compared.
-    std::snprintf(buf, sizeof buf,
-                  "format version differs: MCKTRC0%d vs MCKTRC0%d (records "
-                  "still compared)",
-                  a.version, b.version);
-    out.meta_issues.push_back(buf);
-  }
   if (a.runs.size() != b.runs.size()) {
     std::snprintf(buf, sizeof buf, "replication count differs: %zu vs %zu",
                   a.runs.size(), b.runs.size());
@@ -617,9 +608,8 @@ std::optional<TimelineDivergence> diff_timeline_runs(
                 rows < rows_b);
   }
   // Rows agree; the post-quiescence final row is part of the contract too
-  // (the sharded merge pads early-quiescent regions with it) — but only
-  // when both sides carry one: MCKTL01 does not persist it, so a
-  // file-loaded run legitimately has none.
+  // — but only when both sides carry one: MCKTL01 does not persist it, so
+  // a file-loaded run legitimately has none.
   if (a.final_row.empty() || b.final_row.empty()) return std::nullopt;
   const std::size_t fin = std::min(a.final_row.size(), b.final_row.size());
   for (std::size_t c = 0; c < fin; ++c) {

@@ -7,10 +7,11 @@ namespace mck::obs {
 
 namespace {
 
-// SplitMix64 finalizer — the repo's standard bit mixer (see
-// harness::splitmix64). Full avalanche: a single flipped input bit flips
-// each output bit with probability ~1/2, so adjacent-record swaps and
-// one-bit payload corruptions always move the chunk digest.
+// SplitMix64 finalizer — the repo's standard bit mixer (the harness
+// derives replication seeds with the same function). Full avalanche: a
+// single flipped input bit flips each output bit with probability ~1/2,
+// so adjacent-record swaps and one-bit payload corruptions always move
+// the chunk digest.
 inline std::uint64_t mix(std::uint64_t x) {
   x ^= x >> 30;
   x *= 0xbf58476d1ce4e5b9ull;

@@ -1,7 +1,7 @@
 // Chunked trace digests: the localization layer under every byte-identity
 // guarantee (DESIGN.md "Divergence forensics").
 //
-// Every determinism invariant in this repo — shard/job-count independence,
+// Every determinism invariant in this repo — job-count independence,
 // golden figure stability, Theorem-1 replay — is ultimately enforced as
 // "two trace files are byte-identical". A bare cmp/memcmp says only
 // *that* they differ; the digest layer says *where*, in O(chunks) 64-bit
@@ -36,7 +36,7 @@ std::uint64_t digest_bytes(const void* data, std::size_t n,
 /// The digests of one run: one 64-bit word per kDigestChunkRecords
 /// records (the last chunk may be short) and a whole-run digest folded
 /// over the chunk digests + record count. Empty (no chunks, run == 0)
-/// means "not computed" — e.g. a file read from the MCKTRC01 format.
+/// means "not computed yet" — write_trace_file then computes them.
 struct RunDigests {
   std::uint64_t run = 0;
   std::vector<std::uint64_t> chunks;

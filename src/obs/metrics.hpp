@@ -18,7 +18,7 @@ class Counter {
   void inc(std::uint64_t d = 1) { value_ += d; }
   std::uint64_t value() const { return value_; }
 
-  /// Adds `other`'s count. Integer addition commutes, so merging regions
+  /// Adds `other`'s count. Integer addition commutes, so merging parts
   /// in any order yields identical bytes.
   void merge(const Counter& other) { value_ += other.value_; }
 
@@ -32,8 +32,8 @@ class Gauge {
   double value() const { return value_; }
 
   /// Gauges are point-in-time levels; the deterministic, order-insensitive
-  /// combination across regions is the maximum (a sum of levels would
-  /// depend on how the system was partitioned, a "last write" on region
+  /// combination across parts is the maximum (a sum of levels would
+  /// depend on how the observations were split, a "last write" on merge
   /// order).
   void merge(const Gauge& other) {
     if (other.value_ > value_) value_ = other.value_;
@@ -79,8 +79,8 @@ class Histogram {
   /// Folds `other` into this histogram. Requires identical bucket bounds.
   /// Bucket counts and count are exact integer sums; min/max commute; the
   /// running sum uses IEEE addition, which is commutative (merge(a,b) ==
-  /// merge(b,a) bitwise), so merging a fixed set of regions in the
-  /// canonical region-index order is fully deterministic.
+  /// merge(b,a) bitwise), so merging a fixed set of parts in a fixed
+  /// order is fully deterministic.
   void merge(const Histogram& other);
   double min() const { return min_; }
   double max() const { return max_; }
@@ -111,8 +111,8 @@ class Registry {
 
   /// Folds `other` into this registry by metric name: counters and
   /// histogram buckets sum, gauges keep the max. Metrics present only in
-  /// `other` are appended in `other`'s order, so merging per-region
-  /// registries in region-index order is deterministic.
+  /// `other` are appended in `other`'s order, so merging registries in a
+  /// fixed order is deterministic.
   void merge(const Registry& other);
 
  private:

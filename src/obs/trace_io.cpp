@@ -8,8 +8,9 @@ namespace mck::obs {
 
 namespace {
 
-constexpr char kFileMagicV1[8] = {'M', 'C', 'K', 'T', 'R', 'C', '0', '1'};
-constexpr char kFileMagicV2[8] = {'M', 'C', 'K', 'T', 'R', 'C', '0', '2'};
+constexpr char kFileMagic[8] = {'M', 'C', 'K', 'T', 'R', 'C', '0', '2'};
+// The retired footer-less format: recognized only to reject it clearly.
+constexpr char kRetiredMagicV1[8] = {'M', 'C', 'K', 'T', 'R', 'C', '0', '1'};
 constexpr char kRunMagic[4] = {'R', 'U', 'N', '.'};
 constexpr char kDigMagic[4] = {'D', 'I', 'G', '.'};
 
@@ -61,16 +62,13 @@ void append_pod(std::vector<unsigned char>& buf, const T& v) {
 }  // namespace
 
 bool write_trace_file(const std::string& path, const TraceFileMeta& meta,
-                      const std::vector<TraceRun>& runs, std::string* error,
-                      TraceFormat format) {
+                      const std::vector<TraceRun>& runs, std::string* error) {
   FilePtr f(std::fopen(path.c_str(), "wb"));
   if (!f) {
     set_error(error, "cannot open " + path + " for writing");
     return false;
   }
-  const bool v2 = format == TraceFormat::kV2;
-  bool ok = write_all(f.get(), v2 ? kFileMagicV2 : kFileMagicV1,
-                      sizeof kFileMagicV2);
+  bool ok = write_all(f.get(), kFileMagic, sizeof kFileMagic);
   ok = ok && write_pod(f.get(), static_cast<std::uint32_t>(meta.num_processes));
   ok = ok && write_pod(f.get(), static_cast<std::uint32_t>(meta.algo.size()));
   ok = ok && write_all(f.get(), meta.algo.data(), meta.algo.size());
@@ -83,14 +81,14 @@ bool write_trace_file(const std::string& path, const TraceFileMeta& meta,
     ok = ok && write_all(f.get(), run.records.data(),
                          run.records.size() * sizeof(TraceRecord));
   }
-  if (ok && v2) {
+  if (ok) {
     // Footer image built in memory (a few KB even for 1M-record runs —
     // one u64 per 4096 records) so the trailing self-digest covers it.
     std::vector<unsigned char> footer;
     append_pod(footer, static_cast<std::uint32_t>(runs.size()));
     for (const TraceRun& run : runs) {
       // Trust digests the harness already computed over these exact
-      // records (the per-region merge path); recompute otherwise.
+      // records; recompute otherwise.
       RunDigests fresh;
       const RunDigests* d = &run.digests;
       if (d->chunks.size() != digest_chunk_count(run.records.size())) {
@@ -131,15 +129,17 @@ std::optional<TraceFile> read_trace_file(const std::string& path,
     set_error(error, path + ": not a mck trace file (bad magic)");
     return std::nullopt;
   }
-  TraceFile out;
-  if (std::memcmp(magic, kFileMagicV2, sizeof kFileMagicV2) == 0) {
-    out.version = 2;
-  } else if (std::memcmp(magic, kFileMagicV1, sizeof kFileMagicV1) == 0) {
-    out.version = 1;
-  } else {
+  if (std::memcmp(magic, kRetiredMagicV1, sizeof kRetiredMagicV1) == 0) {
+    set_error(error, path +
+                         ": unsupported trace format MCKTRC01; re-record "
+                         "with this build");
+    return std::nullopt;
+  }
+  if (std::memcmp(magic, kFileMagic, sizeof kFileMagic) != 0) {
     set_error(error, path + ": not a mck trace file (bad magic)");
     return std::nullopt;
   }
+  TraceFile out;
   std::uint32_t n = 0, algo_len = 0;
   if (!read_pod(f.get(), n) || !read_pod(f.get(), algo_len) ||
       algo_len > 4096) {
@@ -162,7 +162,7 @@ std::optional<TraceFile> read_trace_file(const std::string& path,
       return std::nullopt;
     }
     if (std::memcmp(sect_magic, kDigMagic, sizeof kDigMagic) == 0) {
-      if (out.version < 2 || saw_footer) {
+      if (saw_footer) {
         set_error(error, path + ": unexpected digest footer");
         return std::nullopt;
       }
@@ -238,7 +238,7 @@ std::optional<TraceFile> read_trace_file(const std::string& path,
     }
     out.runs.push_back(std::move(run));
   }
-  if (out.version >= 2 && !saw_footer) {
+  if (!saw_footer) {
     set_error(error, path + ": MCKTRC02 file is missing its digest footer");
     return std::nullopt;
   }

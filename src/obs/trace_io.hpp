@@ -1,7 +1,7 @@
 // Binary trace-file format for the flight recorder.
 //
 // Layout (little-endian, raw 32-byte TraceRecords):
-//   file header:  magic "MCKTRC02" (8 B) — or "MCKTRC01" for legacy files
+//   file header:  magic "MCKTRC02" (8 B)
 //                 u32 num_processes
 //                 u32 algo name length, followed by that many bytes
 //   per run:      magic "RUN." (4 B)   — one section per replication,
@@ -9,7 +9,7 @@
 //                 u64 seed
 //                 u64 record count
 //                 count * sizeof(TraceRecord) raw records
-//   footer (MCKTRC02 only):
+//   footer:
 //                 magic "DIG." (4 B)
 //                 u32 run count (must equal the RUN. section count)
 //                 per run: u32 rep, u64 run digest, u64 chunk count,
@@ -23,11 +23,12 @@
 // produces a byte-identical file regardless of --jobs. The digest footer
 // is a pure function of the records, so it preserves that guarantee.
 //
-// Readers accept both versions: MCKTRC01 files simply load with no
-// digests (TraceRun::digests.present() == false). A malformed footer —
-// truncated, run-count mismatch, implausible chunk count, or a footer
-// digest that does not match the footer bytes — rejects the file: a
-// corrupt localization index is worse than none.
+// The footer is mandatory. A missing or malformed footer — truncated,
+// run-count mismatch, implausible chunk count, or a footer digest that
+// does not match the footer bytes — rejects the file: a corrupt
+// localization index is worse than none. Files of the retired
+// footer-less format (magic "MCKTRC01") are rejected too, since loading
+// them would skip the digest check that tamper detection relies on.
 #pragma once
 
 #include <optional>
@@ -57,7 +58,6 @@ struct TraceFileMeta {
 struct TraceFile {
   TraceFileMeta meta;
   std::vector<TraceRun> runs;
-  int version = 2;  // 1 = MCKTRC01 (no digest footer), 2 = MCKTRC02
 
   std::uint64_t total_records() const {
     std::uint64_t n = 0;
@@ -66,21 +66,16 @@ struct TraceFile {
   }
 };
 
-/// On-disk format selector for write_trace_file. kV1 exists for
-/// backward-compat tests and for producing fixtures old readers accept.
-enum class TraceFormat { kV1, kV2 };
-
 /// Writes `runs` to `path`; returns false (and fills *error if non-null)
-/// on I/O failure. kV2 (the default) appends the digest footer, reusing
-/// each run's precomputed digests when their chunk count matches the
-/// record count and computing them in one pass otherwise.
+/// on I/O failure. The digest footer reuses each run's precomputed
+/// digests when their chunk count matches the record count and computes
+/// them in one pass otherwise.
 bool write_trace_file(const std::string& path, const TraceFileMeta& meta,
                       const std::vector<TraceRun>& runs,
-                      std::string* error = nullptr,
-                      TraceFormat format = TraceFormat::kV2);
+                      std::string* error = nullptr);
 
-/// Reads a trace file back; std::nullopt (and *error) on a malformed or
-/// unreadable file. Accepts MCKTRC01 and MCKTRC02.
+/// Reads a trace file back; std::nullopt (and *error) on a malformed,
+/// unreadable or unsupported (MCKTRC01) file.
 std::optional<TraceFile> read_trace_file(const std::string& path,
                                          std::string* error = nullptr);
 
@@ -93,8 +88,7 @@ struct DigestMismatch {
 };
 
 /// Recomputes every present digest against the loaded records. An empty
-/// result means every stored digest checks out (vacuously true for
-/// MCKTRC01 files, which store none — check TraceFile::version).
+/// result means every stored digest checks out.
 std::vector<DigestMismatch> verify_trace_digests(const TraceFile& file);
 
 }  // namespace mck::obs

@@ -101,7 +101,7 @@ struct RunStats {
 class WireCodec;
 
 /// Everything the protocol instances of one run share. There is one per
-/// System (one per sharded region); each protocol keeps a pointer to it
+/// System; each protocol keeps a pointer to it
 /// plus its own pid, so a million processes do not each carry a copy.
 struct RunContext {
   int num_processes = 0;
@@ -120,16 +120,16 @@ struct RunContext {
   /// and delivery here, so all eight algorithms get the
   /// message-path trace points for free.
   obs::Tracer* tracer = nullptr;
-  /// Region-lifetime bump arena (null = global heap). Protocols bind
+  /// Run-lifetime bump arena (null = global heap). Protocols bind
   /// their long-lived sparse state (dependency vectors, csn maps) to it
   /// so spill storage is a pointer bump instead of a malloc. Owned by the
-  /// harness (one per region), lives for the whole run, never reset
+  /// harness (one per System), lives for the whole run, never reset
   /// mid-run — see DESIGN.md "Hot-path memory discipline" for what may
   /// and may not be arena-backed.
   util::Arena* arena = nullptr;
   /// Timeline gauge block (null = off). The blocking baseline maintains
   /// the blocked-process gauge here; other owners (store, tracker, transport)
-  /// hold their own pointer to the same per-region block.
+  /// hold their own pointer to the same per-run block.
   obs::TimelineCounters* timeline = nullptr;
   /// Number of processes whose coordination_active() is true (null =
   /// not counted). Owned by the harness; each protocol moves it from

@@ -10,8 +10,9 @@
 // Thread model: a pool's freelist belongs to the thread that created it
 // (make_pooled<T>() keeps one thread_local pool per payload type, so
 // acquire() always runs on the owner). Releases, however, may happen on
-// ANY thread — a cross-shard message hands its payload to another shard's
-// worker, which drops the last reference there. The release path is
+// ANY thread — a shared_ptr is free to cross threads, so whoever hands a
+// payload to another thread (pool_thread_test does) may see the last
+// reference dropped there. The release path is
 // therefore thread-affine: the owner thread recycles the block into the
 // freelist (single-threaded, allocation-free steady state); a foreign
 // thread returns the block straight to the global heap instead of
@@ -105,7 +106,7 @@ class Pool {
       }
       // Foreign thread: recycling into free_ would race the owner. Give
       // the block back to the global heap instead — rare (only payloads
-      // that crossed a shard boundary) and always safe.
+      // handed to another thread) and always safe.
       ::operator delete(p);
       foreign_frees_.fetch_add(1, std::memory_order_relaxed);
     }
@@ -150,7 +151,7 @@ class Pool {
 /// Pool-backed replacement for std::make_shared on high-churn message
 /// payloads: one thread_local pool per payload type. Zero heap traffic in
 /// steady state on the owning thread; a payload released on another
-/// thread (cross-shard delivery) falls back to the heap, and the pool
+/// thread falls back to the heap, and the pool
 /// core stays alive until the last such payload is gone.
 template <typename T, typename... Args>
 std::shared_ptr<T> make_pooled(Args&&... args) {

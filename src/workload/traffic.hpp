@@ -38,10 +38,6 @@ class PointToPointWorkload {
   static void validate(int num_processes, double msgs_per_second);
 
   void start(sim::SimTime horizon);
-  /// Sharded mode: drive only the region's own processes. Destinations
-  /// still range over all n processes; `num_processes` keeps the global
-  /// count so the destination distribution is shard-independent.
-  void start(sim::SimTime horizon, const std::vector<ProcessId>& pids);
 
  private:
   void schedule(ProcessId p);
@@ -71,9 +67,6 @@ class GroupWorkload {
                        double intra_msgs_per_second, double ratio);
 
   void start(sim::SimTime horizon);
-  /// Sharded mode: drive only the region's own processes (see
-  /// PointToPointWorkload::start overload).
-  void start(sim::SimTime horizon, const std::vector<ProcessId>& pids);
 
   bool is_leader(ProcessId p) const {
     return p % (n_ / groups_) == 0;

@@ -4,8 +4,9 @@
 //    restores bit-for-bit; verify_trace_digests passes on honest files
 //    and names the corrupt chunk on tampered ones; a tampered footer
 //    rejects the whole file.
-//  * backward compat — MCKTRC01 files still read cleanly (no digests)
-//    and diff as identical against their MCKTRC02 siblings.
+//  * retired format — a file with the footer-less MCKTRC01 header is
+//    rejected by read_trace_file, mckaudit and mckdiff, never loaded
+//    without its digest check.
 //  * fuzzed localization — for every algorithm, every single-record
 //    mutation (bit-flip, drop, insert, swap-adjacent, truncate) is
 //    localized by diff_traces to the exact (rep, record index) with the
@@ -15,9 +16,11 @@
 //    match the real enums name for name.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <random>
 #include <string>
@@ -56,7 +59,7 @@ obs::TraceFile make_trace(harness::Algorithm a, int reps = 2,
                           double horizon_s = 1800.0) {
   harness::ExperimentConfig cfg = lan_config(a);
   cfg.horizon = sim::seconds(horizon_s);
-  harness::RunResult res = harness::run_replicated(cfg, reps, 1, 1);
+  harness::RunResult res = harness::run_replicated(cfg, reps, 1);
   obs::TraceFile f;
   f.meta.num_processes = 8;
   f.meta.algo = harness::to_string(a);
@@ -179,7 +182,6 @@ TEST(DigestIo, V2RoundTripRestoresDigests) {
   ASSERT_TRUE(obs::write_trace_file(path, f.meta, f.runs, &err)) << err;
   std::optional<obs::TraceFile> back = obs::read_trace_file(path, &err);
   ASSERT_TRUE(back) << err;
-  EXPECT_EQ(back->version, 2);
   ASSERT_EQ(back->runs.size(), f.runs.size());
   for (std::size_t i = 0; i < f.runs.size(); ++i) {
     EXPECT_EQ(back->runs[i].digests.run, f.runs[i].digests.run);
@@ -269,36 +271,50 @@ TEST(DigestIo, TruncatedFooterRejectsFile) {
 }
 
 // ---------------------------------------------------------------------------
-// MCKTRC01 backward compatibility
+// Retired MCKTRC01 format
 // ---------------------------------------------------------------------------
 
-TEST(TraceCompat, V1FilesStillReadAndDiffCleanly) {
+// Exit status of `cmd` run through the shell (-1 if it did not exit).
+int run_status(const std::string& cmd) {
+  const int rc = std::system((cmd + " > /dev/null 2>&1").c_str());
+  return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
+}
+
+TEST(RetiredTraceFormat, V1HeaderIsRejectedEverywhere) {
   obs::TraceFile f = make_trace(harness::Algorithm::kChandyLamport, 1);
-  const std::string v1 = temp_path("compat_v1.trc");
-  const std::string v2 = temp_path("compat_v2.trc");
+  const std::string v1 = temp_path("retired_v1.trc");
+  const std::string v2 = temp_path("retired_v2.trc");
   std::string err;
-  ASSERT_TRUE(obs::write_trace_file(v1, f.meta, f.runs, &err,
-                                    obs::TraceFormat::kV1))
-      << err;
   ASSERT_TRUE(obs::write_trace_file(v2, f.meta, f.runs, &err)) << err;
+  ASSERT_TRUE(obs::read_trace_file(v2, &err)) << err;
 
-  std::optional<obs::TraceFile> a = obs::read_trace_file(v1, &err);
-  ASSERT_TRUE(a) << err;
-  EXPECT_EQ(a->version, 1);
-  EXPECT_FALSE(a->runs[0].digests.present());
-  EXPECT_TRUE(obs::verify_trace_digests(*a).empty());  // vacuous
+  // A v1 file is the v2 layout with the old magic and no digest footer:
+  // header, then the RUN. sections, then EOF.
+  std::size_t body = 8 + 4 + 4 + f.meta.algo.size();
+  for (const obs::TraceRun& run : f.runs) {
+    body += 4 + 4 + 8 + 8 + run.records.size() * sizeof(obs::TraceRecord);
+  }
+  {
+    std::FILE* in = std::fopen(v2.c_str(), "rb");
+    ASSERT_NE(in, nullptr);
+    std::vector<char> bytes(body);
+    ASSERT_EQ(std::fread(bytes.data(), 1, body, in), body);
+    std::fclose(in);
+    std::memcpy(bytes.data(), "MCKTRC01", 8);
+    std::FILE* out = std::fopen(v1.c_str(), "wb");
+    ASSERT_NE(out, nullptr);
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, body, out), body);
+    std::fclose(out);
+  }
 
-  std::optional<obs::TraceFile> b = obs::read_trace_file(v2, &err);
-  ASSERT_TRUE(b) << err;
-  EXPECT_EQ(b->version, 2);
-
-  // Same records, different envelope: identical, with one informational
-  // meta note and no digest-guided search (one side has no footer).
-  obs::TraceDiff d = obs::diff_traces(*a, *b);
-  EXPECT_TRUE(d.identical);
-  ASSERT_EQ(d.meta_issues.size(), 1u);
-  EXPECT_NE(d.meta_issues[0].find("version"), std::string::npos);
-  EXPECT_FALSE(d.stats.used_digests);
+  EXPECT_FALSE(obs::read_trace_file(v1, &err));
+  EXPECT_NE(err.find("unsupported trace format MCKTRC01"), std::string::npos)
+      << err;
+  EXPECT_NE(run_status(std::string(MCK_MCKAUDIT) + " check " + v1), 0);
+  EXPECT_NE(run_status(std::string(MCK_MCKDIFF) + " " + v1 + " " + v2), 0);
+  // The tools themselves are healthy: the v2 sibling passes both.
+  EXPECT_EQ(run_status(std::string(MCK_MCKAUDIT) + " check " + v2), 0);
+  EXPECT_EQ(run_status(std::string(MCK_MCKDIFF) + " " + v2 + " " + v2), 0);
   std::remove(v1.c_str());
   std::remove(v2.c_str());
 }

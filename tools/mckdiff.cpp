@@ -3,7 +3,7 @@
 //
 //   mckdiff A B [--context K] [--align-window W] [--json] [--out F]
 //
-// A and B are both MCKTRC01/MCKTRC02 traces or both MCKTL01 timelines
+// A and B are both MCKTRC02 traces or both MCKTL01 timelines
 // (autodetected by magic). The report names the first diverging
 // (rep, record index), classifies it (timestamp / ordering /
 // payload-field / missing-record / extra-record / truncation), and
@@ -33,7 +33,7 @@ namespace {
   if (msg) std::fprintf(stderr, "error: %s\n\n", msg);
   std::fprintf(stderr,
                "usage: mckdiff A B [options]\n"
-               "  A, B              two trace files (MCKTRC01/MCKTRC02) or\n"
+               "  A, B              two trace files (MCKTRC02) or\n"
                "                    two timeline files (MCKTL01)\n"
                "  --context K       causal-backtrace length per side "
                "(default 8)\n"
