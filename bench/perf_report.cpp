@@ -1,5 +1,6 @@
-// Hot-path performance report. Measures four things and writes them to a
-// JSON file (default BENCH_hotpath.json in the working directory):
+// Hot-path performance report. Measures the following, plus the fig_scale
+// points (scale_path), and writes them to a JSON file (default
+// BENCH_hotpath.json in the working directory):
 //
 //  1. Event-loop throughput (events/s) on a steady-state scheduling ring —
 //     K pending events, each firing reschedules itself with a Message-sized
@@ -26,6 +27,12 @@
 //     compares two times from one run, so it needs no baseline from
 //     another host; a checker that rescans the log per line makes it ~100.
 //
+//  5. One checkpoint-request wave's cost vs the size of its MR: a k = 64
+//     fan-out built as prop_cp builds it, at |MR| = 16 and 1024 slots,
+//     with every request sized as record_wire_bytes sizes it. With one
+//     shared MR block per wave the ratio stays near 2; a copy and a
+//     re-encode of the MR per request (O(k x |MR|)) makes it ~20.
+//
 // Usage: perf_report [--quick] [--out PATH]
 #include <malloc.h>
 
@@ -46,6 +53,7 @@
 #include "ckpt/checker.hpp"
 #include "harness/experiment.hpp"
 #include "sim/simulator.hpp"
+#include "core/codec.hpp"
 #include "core/payloads.hpp"
 #include "util/pool.hpp"
 
@@ -497,6 +505,64 @@ ScalePathPerf measure_scale_path() {
   return out;
 }
 
+// One request wave, as prop_cp sends it: the wave's MR block is built from
+// the incoming MR, then kWaveFanout pooled requests point at it, each with
+// its own halved weight, and each is sized (wire_size) the way
+// record_wire_bytes sizes every send. The whole wave is alive at once, as
+// it is in flight. Best-of-kWaveTrials of the mean over kWaves waves.
+constexpr int kWaveFanout = 64;
+constexpr int kWaves = 500;
+constexpr int kWaveTrials = 5;
+
+struct WavePerf {
+  double mr16_s = 0;    // per wave
+  double mr1024_s = 0;  // per wave
+  double ratio = 0;     // mr1024_s / mr16_s
+};
+
+double time_wave(std::size_t mr_slots) {
+  core::SparseMr mr_in;
+  for (std::size_t i = 0; i < mr_slots; ++i) {
+    mr_in.put(i * 7 + 1, core::MrEntry{static_cast<Csn>(i % 300 + 1),
+                                       static_cast<std::uint8_t>(i % 2)});
+  }
+  std::vector<std::shared_ptr<core::RequestPayload>> wave(kWaveFanout);
+  std::uint64_t bytes = 0;
+  double best = 0;
+  for (int t = 0; t < kWaveTrials; ++t) {
+    Clock::time_point t0 = Clock::now();
+    for (int w = 0; w < kWaves; ++w) {
+      const std::shared_ptr<const core::MrBlock> block =
+          core::make_mr_block(mr_in);
+      util::Weight weight = util::Weight::one();
+      for (int k = 0; k < kWaveFanout; ++k) {
+        weight.halve();
+        auto rp = util::make_pooled<core::RequestPayload>();
+        rp->mr = block;
+        rp->sender_csn = 5;
+        rp->trigger = core::Trigger{0, 3};
+        rp->req_csn = static_cast<Csn>(k);
+        rp->weight = weight;
+        bytes += core::wire_size(*rp);
+        wave[static_cast<std::size_t>(k)] = std::move(rp);
+      }
+      for (auto& rp : wave) rp.reset();
+    }
+    const double dt = secs_since(t0) / kWaves;
+    if (t == 0 || dt < best) best = dt;
+  }
+  if (bytes == 0) std::exit(1);  // keeps the sizing from being elided
+  return best;
+}
+
+WavePerf measure_request_wave() {
+  WavePerf out;
+  out.mr16_s = time_wave(16);
+  out.mr1024_s = time_wave(1024);
+  out.ratio = out.mr16_s > 0 ? out.mr1024_s / out.mr16_s : 0;
+  return out;
+}
+
 #ifndef MCK_BUILD_TYPE
 #define MCK_BUILD_TYPE "unknown"
 #endif
@@ -609,6 +675,11 @@ int main(int argc, char** argv) {
               "(ratio %.2f)\n",
               kCheckerMessages, ck.lines10_s, ck.lines1000_s, ck.ratio);
 
+  WavePerf rw = measure_request_wave();
+  std::printf("request wave: k=%d, |MR|=16 %.2fus, |MR|=1024 %.2fus "
+              "(ratio %.2f)\n",
+              kWaveFanout, rw.mr16_s * 1e6, rw.mr1024_s * 1e6, rw.ratio);
+
   ScalePathPerf sc = measure_scale_path();
   std::printf("scale path: n=1k best-of-%d %.0f deliveries/s (%.2fs), "
               "n=1M %.2fs peak rss %llu KiB, %.0f B/host constructed\n",
@@ -662,6 +733,13 @@ int main(int argc, char** argv) {
                "    \"lines1000_s\": %.5f,\n"
                "    \"ratio_1000_over_10\": %.3f\n"
                "  },\n"
+               "  \"request_wave\": {\n"
+               "    \"workload\": \"one k=%d request fan-out sharing one MR "
+               "block, every request sized, best-of-%d of %d waves\",\n"
+               "    \"mr16_wave_us\": %.3f,\n"
+               "    \"mr1024_wave_us\": %.3f,\n"
+               "    \"ratio_mr1024_over_mr16\": %.3f\n"
+               "  },\n"
                "  \"scale_path\": {\n"
                "    \"workload\": \"fig_scale points, in-process (n=1k "
                "best-of-%d, n=1M once)\",\n"
@@ -682,7 +760,8 @@ int main(int argc, char** argv) {
                speedup, cur_ape, leg_ape, pooled_apm, fresh_apm, st.horizon_s,
                st.sim_seconds_per_wall_second, st.events_per_sec,
                kCheckerProcs, kCheckerMessages, kCheckerTrials, ck.lines10_s,
-               ck.lines1000_s, ck.ratio, kScaleTrials,
+               ck.lines1000_s, ck.ratio, kWaveFanout, kWaveTrials, kWaves,
+               rw.mr16_s * 1e6, rw.mr1024_s * 1e6, rw.ratio, kScaleTrials,
                sc.n1k_deliveries_per_sec, sc.n1k_wall_s, sc.n1M_wall_s,
                static_cast<unsigned long long>(sc.n1M_peak_rss_kib),
                sc.n1M_construct_bytes_per_host,
@@ -712,6 +791,7 @@ int main(int argc, char** argv) {
                  "\"sim_seconds_per_wall_second\":%.1f,"
                  "\"deliveries_per_sec\":%.1f,"
                  "\"checker_ratio_1000_over_10\":%.3f,"
+                 "\"request_wave_ratio_mr1024_over_mr16\":%.3f,"
                  "\"n1k_deliveries_per_sec\":%.1f,"
                  "\"n1M_wall_s\":%.3f,"
                  "\"n1M_peak_rss_kib\":%llu,"
@@ -719,7 +799,7 @@ int main(int argc, char** argv) {
                  sha, stamp, quick ? "true" : "false", host.nproc,
                  host.compiler, host.build_type, cur_eps, leg_eps,
                  speedup, cur_ape, st.sim_seconds_per_wall_second,
-                 st.events_per_sec, ck.ratio,
+                 st.events_per_sec, ck.ratio, rw.ratio,
                  sc.n1k_deliveries_per_sec, sc.n1M_wall_s,
                  static_cast<unsigned long long>(sc.n1M_peak_rss_kib),
                  sc.n1M_construct_bytes_per_host);

@@ -214,15 +214,22 @@ Weight CaoSinghalProtocol::prop_cp(const IntervalSet& deps,
   // MR[k].R | deps[k]} for every k; sparsely, only the slots that differ
   // from {0, 0} are materialized — receivers read absent slots as the
   // default, so the semantics are element-for-element the dense ones while
-  // the work is O(active dependencies).
-  SparseMr temp = mr_in;
-  dep_csn_.for_each(
-      [&temp](std::size_t k, Csn v) { temp.raise_csn(k, v); });
-  deps.for_each([&temp](std::size_t k) { temp.mark_requested(k); });
+  // the work is O(active dependencies). temp is the same for every request
+  // of this fan-out, so it is built once, at the first request actually
+  // sent, and every request points at that one block.
+  std::shared_ptr<const MrBlock> temp;
+  auto wave_mr = [&]() {
+    if (temp == nullptr) {
+      SparseMr mr = mr_in;
+      dep_csn_.for_each(
+          [&mr](std::size_t k, Csn v) { mr.raise_csn(k, v); });
+      deps.for_each([&mr](std::size_t k) { mr.mark_requested(k); });
+      temp = make_mr_block(std::move(mr));
+    }
+    return temp;
+  };
 
   ckpt::InitiationStats& st = init_stats(trigger);
-  bool weight_consumed_guard = false;
-  (void)weight_consumed_guard;
   deps.for_each([&](std::size_t ks) {
     const int k = static_cast<int>(ks);
     if (k == self()) return;
@@ -263,7 +270,7 @@ Weight CaoSinghalProtocol::prop_cp(const IntervalSet& deps,
                            trigger.initiation(), weight_bits(weight));
     }
     auto rp = util::make_pooled<RequestPayload>();
-    rp->mr = temp;
+    rp->mr = wave_mr();
     rp->sender_csn = csn_.get(static_cast<std::size_t>(self()));
     rp->trigger = trigger;
     rp->req_csn = dep_csn_.get(ks);
@@ -648,7 +655,7 @@ void CaoSinghalProtocol::handle_request(const rt::Message& m,
   if (p.trigger == own_trigger_) {
     int idx = find_mutable(p.trigger);
     if (idx >= 0) {
-      promote_mutable(static_cast<std::size_t>(idx), p.mr, p.weight);
+      promote_mutable(static_cast<std::size_t>(idx), p.mr->mr(), p.weight);
     } else {
       // Already checkpointed for this initiation (Lemma 1).
       ++init_stats(p.trigger).duplicate_requests;
@@ -657,7 +664,7 @@ void CaoSinghalProtocol::handle_request(const rt::Message& m,
   } else {
     csn_.bump(static_cast<std::size_t>(self()));
     own_trigger_ = p.trigger;
-    take_tentative(p.trigger, p.mr, p.weight, /*as_initiator=*/false);
+    take_tentative(p.trigger, p.mr->mr(), p.weight, /*as_initiator=*/false);
   }
 }
 

@@ -95,6 +95,12 @@ void put_mr(WireWriter& w, const SparseMr& mr) {
   }
 }
 
+std::uint64_t mr_bytes(const SparseMr& mr) {
+  WireWriter w{WireWriter::Measure{}};
+  put_mr(w, mr);
+  return w.size();
+}
+
 SparseMr get_mr(WireReader& r) {
   SparseMr mr;
   const std::uint64_t count = r.vu64();
@@ -144,7 +150,13 @@ std::shared_ptr<rt::Payload> get_comp(WireReader& r) {
 
 void put_request(WireWriter& w, const rt::Payload& p0) {
   const auto& p = static_cast<const RequestPayload&>(p0);
-  put_mr(w, p.mr);
+  if (p.mr == nullptr) {
+    w.vu64(0);  // the empty MR
+  } else if (w.measuring()) {
+    w.skip(p.mr->encoded_bytes());  // measured once, when the wave built it
+  } else {
+    put_mr(w, p.mr->mr());
+  }
   w.vu32(p.sender_csn);
   put_trigger(w, p.trigger);
   w.vu32(p.req_csn);
@@ -152,7 +164,9 @@ void put_request(WireWriter& w, const rt::Payload& p0) {
 }
 std::shared_ptr<rt::Payload> get_request(WireReader& r) {
   auto p = util::make_pooled<RequestPayload>();
-  p->mr = get_mr(r);
+  const std::size_t mr_at = r.pos();
+  SparseMr mr = get_mr(r);
+  p->mr = util::make_pooled<MrBlock>(std::move(mr), r.pos() - mr_at);
   p->sender_csn = r.vu32();
   p->trigger = get_trigger(r);
   p->req_csn = r.vu32();
@@ -355,6 +369,9 @@ class UniversalCodec final : public rt::WireCodec {
 };
 
 }  // namespace
+
+MrBlock::MrBlock(SparseMr mr)
+    : mr_(std::move(mr)), encoded_bytes_(mr_bytes(mr_)) {}
 
 std::vector<std::uint8_t> encode(const rt::Payload& payload) {
   const PayloadCodec* c = find_codec(payload.tag());

@@ -2,9 +2,9 @@
 // mutable-checkpoint protocol's and all six baselines'.
 //
 // The paper's evaluation charges a flat 50 B per system message. In
-// reality a checkpoint request carries the MR structure (one entry per
-// process) and an exact binary-fraction weight, so its size grows with N
-// and with propagation depth. This codec provides:
+// reality a checkpoint request carries the MR structure and an exact
+// binary-fraction weight, so its size grows with the request wave and with
+// propagation depth. This codec provides:
 //   * a registry with encode()/decode() round-trips for every
 //     rt::PayloadTag (tested by fuzz and round-trip property tests),
 //   * wire_size() — the honest on-air size, used when
@@ -14,8 +14,12 @@
 //     runtime and the transports (wire-fidelity mode) can use all of the
 //     above without depending on this layer.
 //
-// Format: little-endian, fixed-width integers; vectors are length-prefixed
-// (u16). A 1-byte tag (the rt::PayloadTag value) selects the payload type.
+// Format: a 1-byte tag (the rt::PayloadTag value) selects the payload
+// type. Counts, csns, pids and gaps are LEB128 varints (zigzag for signed
+// fields); sparse structures travel delta-encoded: the MR as its non-default
+// slots (pid gap, csn, requested flag), interval sets as (gap, length)
+// pairs. Weights are a little-endian u64 integer part plus a u16-counted
+// list of u64 fraction limbs.
 #pragma once
 
 #include <cstdint>
@@ -99,6 +103,14 @@ class WireWriter {
     vu64((u << 1) ^ static_cast<std::uint32_t>(v >> 31));
   }
 
+  bool measuring() const { return measure_; }
+  /// Measuring writers only: counts n bytes whose encoding the caller has
+  /// already measured (a request's shared MR block), without walking them.
+  void skip(std::size_t n) {
+    MCK_ASSERT(measure_);
+    count_ += n;
+  }
+
   std::vector<std::uint8_t> take() {
     MCK_ASSERT(!measure_);
     return std::vector<std::uint8_t>(buf_.begin(), buf_.end());
@@ -122,6 +134,8 @@ class WireReader {
 
   bool ok() const { return ok_; }
   bool done() const { return ok_ && pos_ == buf_.size(); }
+  /// Bytes consumed so far.
+  std::size_t pos() const { return pos_; }
 
   /// Marks the stream malformed; decode() then rejects the buffer. Used by
   /// payload codecs when a semantic invariant fails (non-ascending pids, an
@@ -157,8 +171,11 @@ class WireReader {
       if (!ok_) return 0;
       out |= static_cast<std::uint64_t>(b & 0x7F) << shift;
       if ((b & 0x80) == 0) {
-        // Reject non-canonical 10th bytes that would shift past bit 63.
-        if (i == 9 && b > 1) {
+        // Reject overlong forms (a final zero byte after a continuation
+        // byte) and 10th bytes that would shift past bit 63: every accepted
+        // varint is the one WireWriter::vu64 writes for its value, so a
+        // decoded field's byte count is its encoded size.
+        if ((i > 0 && b == 0) || (i == 9 && b > 1)) {
           ok_ = false;
           return 0;
         }

@@ -2,6 +2,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/trigger.hpp"
@@ -9,6 +11,7 @@
 #include "util/arena.hpp"
 #include "util/assert.hpp"
 #include "util/interval_set.hpp"
+#include "util/pool.hpp"
 #include "util/types.hpp"
 #include "util/weight.hpp"
 
@@ -129,8 +132,42 @@ class SparseMr {
   Storage slots_;
 };
 
+/// One request wave's MR: built once per fan-out by prop_cp and shared,
+/// read-only, by every request of that fan-out. A k-way fan-out therefore
+/// holds one copy of the slots instead of k, and the codec's sizing pass
+/// reads encoded_bytes() instead of re-encoding the slots per request.
+/// The size is fixed at construction, so a block never changes after it
+/// is built.
+class MrBlock {
+ public:
+  /// Takes the slots and measures their encoding (defined in codec.cpp,
+  /// next to the encoder it must agree with).
+  explicit MrBlock(SparseMr mr);
+  /// Takes the slots with their encoded size already known: the decoder
+  /// passes the bytes it just read, which are canonical.
+  MrBlock(SparseMr mr, std::uint64_t encoded_bytes)
+      : mr_(std::move(mr)), encoded_bytes_(encoded_bytes) {}
+
+  const SparseMr& mr() const { return mr_; }
+  /// Bytes the codec writes for mr(): the slot count and every slot.
+  std::uint64_t encoded_bytes() const { return encoded_bytes_; }
+  bool operator==(const MrBlock& o) const { return mr_ == o.mr_; }
+
+ private:
+  SparseMr mr_;
+  std::uint64_t encoded_bytes_;
+};
+
+/// A pooled block: one node per wave, plus the slots' heap spill past the
+/// inline four.
+inline std::shared_ptr<const MrBlock> make_mr_block(SparseMr mr) {
+  return util::make_pooled<MrBlock>(std::move(mr));
+}
+
 struct RequestPayload final : rt::TaggedPayload<rt::PayloadTag::kRequest> {
-  SparseMr mr;               // merged knowledge along the request path
+  /// Merged knowledge along the request path, shared by the whole
+  /// fan-out. Null encodes as the empty MR.
+  std::shared_ptr<const MrBlock> mr;
   Csn sender_csn = 0;        // csn_j[j] of the request sender (recv_csn)
   Trigger trigger;           // msg_trigger: the initiation this belongs to
   Csn req_csn = 0;           // csn_j[i]: what the sender expects of us

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "harness/system.hpp"
+#include "live_heap.hpp"
 #include "workload/traffic.hpp"
 
 namespace mck {
@@ -265,6 +266,77 @@ TEST(CaoSinghal, SequentialInitiationsAdvanceTheLine) {
   // Each process participating keeps exactly one permanent checkpoint per
   // committed initiation (Lemma 1: inherits at most one request).
   EXPECT_EQ(sys.store().count(ckpt::CkptKind::kPermanent), 15u);
+}
+
+TEST(CaoSinghal, FanOutSharesOneMrBlock) {
+  if (!test::live_heap_counted()) {
+    GTEST_SKIP() << "allocator interposed (sanitizer)";
+  }
+  // P0's request wave goes to kFan processes it received from, and its MR
+  // also carries the csns of kCovered processes whose messages P0 received
+  // before its previous checkpoint: |MR| = 1 + kFan + kCovered slots.
+  constexpr int kFan = 40;
+  constexpr int kCovered = 200;
+  constexpr int kN = 1 + kFan + kCovered;
+  SystemOptions opts = lan_options(kN);
+  opts.timing.record_wire_bytes = true;  // size every request
+  System sys(opts);
+  auto settle = [&sys] { sys.simulator().run_until(sim::kTimeNever); };
+  for (ProcessId p = 1 + kFan; p < kN; ++p) {
+    sys.initiate(p);  // csn 1
+    settle();
+  }
+  for (ProcessId p = 1 + kFan; p < kN; ++p) sys.send(p, 0);
+  settle();
+  sys.initiate(0);  // covers them: dep_csn stays, R clears
+  settle();
+
+  // The sink holds P0's requests, so the whole wave is alive at once.
+  std::vector<rt::Message> wave;
+  wave.reserve(kFan);
+  sys.lan()->set_sink([&sys, &wave](const rt::Message& m) {
+    if (m.kind == rt::MsgKind::kRequest && m.src == 0) {
+      wave.push_back(m);
+    } else {
+      sys.cao(m.dst).on_deliver(m);
+    }
+  });
+  // Two identical waves; the first warms the payload pools and event
+  // slots, the second is measured.
+  std::int64_t growth = 0;
+  for (int round = 0; round < 2; ++round) {
+    for (ProcessId p = 1; p <= kFan; ++p) sys.send(p, 0);
+    settle();
+    wave.clear();
+    const std::int64_t before = test::live_bytes();
+    sys.initiate(0);
+    settle();
+    growth = test::live_bytes() - before;
+
+    ASSERT_EQ(wave.size(), static_cast<std::size_t>(kFan));
+    const core::MrBlock* block = nullptr;
+    for (const rt::Message& m : wave) {
+      const auto* rp = m.payload_as<core::RequestPayload>();
+      ASSERT_NE(rp, nullptr);
+      ASSERT_NE(rp->mr, nullptr);
+      if (block == nullptr) block = rp->mr.get();
+      EXPECT_EQ(rp->mr.get(), block) << "request to P" << m.dst;
+    }
+    EXPECT_EQ(block->mr().active(), static_cast<std::size_t>(kN));
+    for (const rt::Message& m : wave) sys.cao(m.dst).on_deliver(m);
+    settle();
+  }
+  std::printf("fan-out: %d requests, |MR| = %d, live heap +%lld B\n", kFan,
+              kN, static_cast<long long>(growth));
+  // One MR block per wave: heap growth is O(k + |MR|). A copy of the MR
+  // per request would be k x |MR| x 12 B = ~116 KB here.
+  EXPECT_LE(growth, 512 * kFan + 64 * kN);
+
+  auto inits = sys.tracker().in_order();
+  ASSERT_EQ(inits.size(), static_cast<std::size_t>(kCovered + 3));
+  for (const ckpt::InitiationStats* st : inits) EXPECT_TRUE(st->committed());
+  EXPECT_EQ(inits.back()->requests, static_cast<std::uint64_t>(kFan));
+  EXPECT_TRUE(sys.check_consistency().consistent);
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "harness/experiment.hpp"
 
 namespace mck::core {
@@ -49,12 +51,14 @@ TEST(Codec, RequestRoundTripWithDeepWeight) {
   RequestPayload p;
   // Sparse, gappy MR slots — including a far-away pid to exercise the
   // delta encoding.
+  SparseMr mr;
   for (int i = 1; i < 16; i += 3) {
-    p.mr.put(static_cast<std::size_t>(i),
-             MrEntry{static_cast<Csn>(i * 3),
-                     static_cast<std::uint8_t>(i % 2 == 0 ? 1 : 0)});
+    mr.put(static_cast<std::size_t>(i),
+           MrEntry{static_cast<Csn>(i * 3),
+                   static_cast<std::uint8_t>(i % 2 == 0 ? 1 : 0)});
   }
-  p.mr.put(900000, MrEntry{7, 1});
+  mr.put(900000, MrEntry{7, 1});
+  p.mr = make_mr_block(std::move(mr));
   p.sender_csn = 9;
   p.trigger = Trigger{3, 4};
   p.req_csn = 2;
@@ -62,9 +66,9 @@ TEST(Codec, RequestRoundTripWithDeepWeight) {
 
   auto q = roundtrip(p);
   ASSERT_NE(q, nullptr);
-  EXPECT_EQ(q->mr, p.mr);
-  EXPECT_EQ(q->mr.get(900000), (MrEntry{7, 1}));
-  EXPECT_TRUE(q->mr.get(2).is_default());
+  EXPECT_EQ(*q->mr, *p.mr);
+  EXPECT_EQ(q->mr->mr().get(900000), (MrEntry{7, 1}));
+  EXPECT_TRUE(q->mr->mr().get(2).is_default());
   EXPECT_EQ(q->sender_csn, 9u);
   EXPECT_EQ(q->req_csn, 2u);
   EXPECT_EQ(q->weight, deep_weight(200));  // bit-exact
@@ -112,9 +116,61 @@ TEST(Codec, CommitAbortClearRoundTrips) {
   EXPECT_EQ(roundtrip(cl)->trigger, (Trigger{0, 1}));
 }
 
+TEST(Codec, SharedMrSizeMatchesEncode) {
+  // Sizing adds a request's cached MR size; a full encode walks the slots.
+  // The two must agree on every MR, for the requests of one fan-out that
+  // share a block and for the requests decode() rebuilds from the bytes.
+  std::mt19937 rng(0x5EED);
+  std::uniform_int_distribution<int> slot_count(0, 2000);
+  std::uniform_int_distribution<std::uint32_t> pid(0, 1'000'000);
+  std::uniform_int_distribution<Csn> csn(0, 1u << 21);
+  for (int iter = 0; iter < 40; ++iter) {
+    const int slots = iter == 0 ? 0 : iter == 1 ? 2000 : slot_count(rng);
+    SparseMr mr;
+    for (int i = 0; i < slots; ++i) {
+      mr.put(pid(rng), MrEntry{csn(rng), static_cast<std::uint8_t>(rng() & 1)});
+    }
+    const std::shared_ptr<const MrBlock> block = make_mr_block(std::move(mr));
+    RequestPayload wave[3];
+    for (int k = 0; k < 3; ++k) {
+      wave[k].mr = block;
+      wave[k].sender_csn = csn(rng);
+      wave[k].trigger = Trigger{static_cast<ProcessId>(pid(rng)), csn(rng)};
+      wave[k].req_csn = csn(rng);
+      wave[k].weight = deep_weight(70 * k + 1);
+    }
+    for (const RequestPayload& p : wave) {
+      const std::vector<std::uint8_t> bytes = encode(p);
+      EXPECT_EQ(wire_size(p), kLinkHeaderBytes + bytes.size())
+          << block->mr().active() << " slots";
+      auto q = std::dynamic_pointer_cast<RequestPayload>(decode(bytes));
+      ASSERT_NE(q, nullptr);
+      ASSERT_NE(q->mr, nullptr);
+      EXPECT_NE(q->mr, block);
+      EXPECT_EQ(*q->mr, *block);
+      EXPECT_EQ(q->mr->encoded_bytes(), block->encoded_bytes());
+      EXPECT_EQ(q->sender_csn, p.sender_csn);
+      EXPECT_EQ(q->trigger, p.trigger);
+      EXPECT_EQ(q->req_csn, p.req_csn);
+      EXPECT_EQ(q->weight, p.weight);
+      EXPECT_EQ(wire_size(*q), wire_size(p));
+      EXPECT_EQ(encode(*q), bytes);
+    }
+  }
+  // A request without a block travels as the empty MR.
+  RequestPayload bare;
+  bare.weight = util::Weight::one();
+  EXPECT_EQ(wire_size(bare), kLinkHeaderBytes + encode(bare).size());
+  auto q = roundtrip(bare);
+  ASSERT_NE(q, nullptr);
+  EXPECT_EQ(q->mr->mr().active(), 0u);
+}
+
 TEST(Codec, TruncatedBuffersRejected) {
   RequestPayload p;
-  for (std::size_t i = 0; i < 8; ++i) p.mr.put(i * 5, MrEntry{1, 1});
+  SparseMr mr;
+  for (std::size_t i = 0; i < 8; ++i) mr.put(i * 5, MrEntry{1, 1});
+  p.mr = make_mr_block(std::move(mr));
   p.trigger = Trigger{0, 1};
   p.weight = deep_weight(70);
   std::vector<std::uint8_t> bytes = encode(p);
@@ -145,9 +201,11 @@ TEST(Codec, RequestSizeGrowsWithActiveSlotsNotUniverse) {
   // a 16-host system with k active dependencies.
   auto request_size = [](int active, std::size_t stride) {
     RequestPayload p;
+    SparseMr mr;
     for (int i = 0; i < active; ++i) {
-      p.mr.put(static_cast<std::size_t>(i) * stride, MrEntry{3, 1});
+      mr.put(static_cast<std::size_t>(i) * stride, MrEntry{3, 1});
     }
+    p.mr = make_mr_block(std::move(mr));
     p.weight = util::Weight::one();
     return wire_size(p);
   };
@@ -173,8 +231,8 @@ TEST(Codec, WeightDepthInflatesRequests) {
 
 TEST(Codec, MalformedSparsePayloadsRejected) {
   // A hand-built request whose MR slot is the default entry (the encoder
-  // never emits those) must be rejected, as must an interval set whose
-  // intervals leave the universe or overlap.
+  // never emits those) must be rejected, as must an overlong varint and an
+  // interval set whose intervals leave the universe or overlap.
   {
     WireWriter w;
     w.u8(static_cast<std::uint8_t>(rt::PayloadTag::kRequest));
@@ -189,6 +247,19 @@ TEST(Codec, MalformedSparsePayloadsRejected) {
     w.u64(1);   // weight integer
     w.u16(0);   // weight fraction limbs
     std::vector<std::uint8_t> bytes = w.take();
+    EXPECT_EQ(decode(bytes), nullptr);
+  }
+  {
+    // The empty MR's slot count 0 written as 0x80 0x00: every accepted
+    // varint is the encoder's own form, so a decoded MR's size is the
+    // byte count read.
+    RequestPayload p;
+    p.weight = util::Weight::one();
+    std::vector<std::uint8_t> bytes = encode(p);
+    ASSERT_NE(decode(bytes), nullptr);
+    ASSERT_EQ(bytes[1], 0u);
+    bytes[1] = 0x80;
+    bytes.insert(bytes.begin() + 2, 0x00);
     EXPECT_EQ(decode(bytes), nullptr);
   }
   {

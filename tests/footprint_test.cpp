@@ -7,80 +7,21 @@
 //  * commit broadcasts: every host learns of every termination, yet the
 //    per-host state must not grow with the number of commits.
 //
-// Sanitizer builds may route allocations around the instrumented
-// operator new; the test skips itself when the counter sees nothing.
-#include <malloc.h>
-
-#include <atomic>
-#include <cstddef>
+// The counter is tests/live_heap.hpp; the tests skip themselves when
+// sanitizer builds route allocations around it.
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
-#include <new>
 
 #include <gtest/gtest.h>
 
 #include "harness/system.hpp"
-
-namespace {
-std::atomic<std::int64_t> g_live_bytes{0};
-
-void* counted(void* p) {
-  if (p == nullptr) throw std::bad_alloc();
-  g_live_bytes.fetch_add(static_cast<std::int64_t>(malloc_usable_size(p)),
-                         std::memory_order_relaxed);
-  return p;
-}
-
-void uncount(void* p) {
-  if (p == nullptr) return;
-  g_live_bytes.fetch_sub(static_cast<std::int64_t>(malloc_usable_size(p)),
-                         std::memory_order_relaxed);
-  std::free(p);
-}
-
-std::size_t round_up(std::size_t n, std::size_t a) {
-  return (n + a - 1) / a * a;
-}
-}  // namespace
-
-void* operator new(std::size_t n) { return counted(std::malloc(n ? n : 1)); }
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void* operator new(std::size_t n, std::align_val_t a) {
-  const auto al = static_cast<std::size_t>(a);
-  return counted(std::aligned_alloc(al, round_up(n ? n : 1, al)));
-}
-void* operator new[](std::size_t n, std::align_val_t a) {
-  return ::operator new(n, a);
-}
-void operator delete(void* p) noexcept { uncount(p); }
-void operator delete[](void* p) noexcept { uncount(p); }
-void operator delete(void* p, std::size_t) noexcept { uncount(p); }
-void operator delete[](void* p, std::size_t) noexcept { uncount(p); }
-void operator delete(void* p, std::align_val_t) noexcept { uncount(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { uncount(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  uncount(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  uncount(p);
-}
+#include "live_heap.hpp"
 
 namespace mck {
 namespace {
 
-std::int64_t live_bytes() {
-  return g_live_bytes.load(std::memory_order_relaxed);
-}
-
-bool counter_active() {
-  const std::int64_t before = live_bytes();
-  int* probe = new int(0);
-  const bool seen = live_bytes() != before;
-  delete probe;
-  return seen;
-}
+using test::live_bytes;
 
 constexpr int kHosts = 100000;
 
@@ -104,7 +45,7 @@ harness::SystemOptions scale_options() {
 constexpr double kConstructBudgetPerHost = 450.0;
 
 TEST(Footprint, ConstructionHeapBytesPerHostStayUnderBudget) {
-  if (!counter_active()) GTEST_SKIP() << "allocator interposed (sanitizer)";
+  if (!test::live_heap_counted()) GTEST_SKIP() << "allocator interposed (sanitizer)";
   const std::int64_t before = live_bytes();
   auto sys = std::make_unique<harness::System>(scale_options());
   const double per_host =
@@ -116,7 +57,7 @@ TEST(Footprint, ConstructionHeapBytesPerHostStayUnderBudget) {
 }
 
 TEST(Footprint, CommitBroadcastsAddNoPerHostState) {
-  if (!counter_active()) GTEST_SKIP() << "allocator interposed (sanitizer)";
+  if (!test::live_heap_counted()) GTEST_SKIP() << "allocator interposed (sanitizer)";
   harness::System sys(scale_options());
   // Every round has one initiator and no dependencies: it takes a
   // tentative checkpoint, commits, and broadcasts the commit to all n

@@ -285,12 +285,12 @@ TEST(SparseProperty, CodecFuzzRoundTripTruncationCorruption) {
         p.sender_csn = val(rng);
         p.req_csn = val(rng);
         p.weight = util::Weight::one();
-        p.mr = random_mr(rng, n);
+        p.mr = core::make_mr_block(random_mr(rng, n));
         bytes = core::encode(p);
         auto q = std::dynamic_pointer_cast<core::RequestPayload>(
             core::decode(bytes));
         ASSERT_NE(q, nullptr);
-        EXPECT_EQ(q->mr, p.mr);
+        EXPECT_EQ(*q->mr, *p.mr);
         EXPECT_EQ(q->req_csn, p.req_csn);
         break;
       }

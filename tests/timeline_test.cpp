@@ -12,7 +12,6 @@
 #include "harness/experiment.hpp"
 #include "obs/audit.hpp"
 #include "obs/diff.hpp"
-#include "obs/metrics.hpp"
 #include "obs/round_metrics.hpp"
 #include "obs/timeline.hpp"
 
@@ -309,56 +308,6 @@ TEST(TracerCap, TruncationPointIdenticalAcrossJobCounts) {
     ASSERT_EQ(run.records.size(), 101u);  // cap + one marker
   }
   expect_same_traces(j1.traces, j4.traces);
-}
-
-// ---------------------------------------------------------------------------
-// Metric merge determinism (satellite: obs::Histogram::merge and friends).
-// ---------------------------------------------------------------------------
-
-TEST(MetricMerge, HistogramMergeMatchesCombinedObservation) {
-  std::vector<double> bounds = {1.0, 2.0, 4.0, 8.0};
-  obs::Histogram a(bounds), b(bounds), combined(bounds);
-  for (double x : {0.5, 1.5, 3.0, 9.0}) {
-    a.observe(x);
-    combined.observe(x);
-  }
-  for (double x : {0.25, 7.0, 16.0}) {
-    b.observe(x);
-    combined.observe(x);
-  }
-  obs::Histogram merged = a;
-  merged.merge(b);
-  EXPECT_EQ(merged.count(), combined.count());
-  EXPECT_EQ(merged.min(), combined.min());
-  EXPECT_EQ(merged.max(), combined.max());
-  for (std::size_t i = 0; i < combined.num_buckets(); ++i) {
-    EXPECT_EQ(merged.bucket(i), combined.bucket(i)) << "bucket " << i;
-  }
-  // IEEE addition commutes: merge(a, b) == merge(b, a) bitwise.
-  obs::Histogram merged_ba = b;
-  merged_ba.merge(a);
-  EXPECT_EQ(merged.sum(), merged_ba.sum());
-  EXPECT_EQ(merged.p95(), merged_ba.p95());
-}
-
-TEST(MetricMerge, RegistryMergeIsDeterministicByName) {
-  obs::Registry a, b;
-  a.counter("msgs").inc(10);
-  a.gauge("depth").set(3.0);
-  b.counter("msgs").inc(5);
-  b.counter("only_in_b").inc(1);
-  b.gauge("depth").set(7.0);
-  a.merge(b);
-  EXPECT_EQ(a.counter("msgs").value(), 15u);
-  EXPECT_EQ(a.counter("only_in_b").value(), 1u);
-  EXPECT_EQ(a.gauge("depth").value(), 7.0);  // gauges keep the max
-  // Merge preserves the target's insertion order and appends metrics
-  // present only in `other`, so the rendered table is reproducible.
-  obs::Registry c;
-  c.counter("msgs").inc(15);
-  c.gauge("depth").set(7.0);
-  c.counter("only_in_b").inc(1);
-  EXPECT_EQ(a.render(), c.render());
 }
 
 }  // namespace
