@@ -33,8 +33,16 @@
 //     shared MR block per wave the ratio stays near 2; a copy and a
 //     re-encode of the MR per request (O(k x |MR|)) makes it ~20.
 //
+//  6. The set-up of a second n = 1M System in the same process (scale_path
+//     n1M_setup_warm_s and n1M_setup_minflt): its wall time and the minor
+//     page faults it takes. A block that glibc serves by mmap is faulted
+//     in afresh by every System, so the fault count shows whether the
+//     set-up depends on where glibc's dynamic mmap threshold happens to
+//     sit.
+//
 // Usage: perf_report [--quick] [--out PATH]
 #include <malloc.h>
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <atomic>
@@ -52,10 +60,12 @@
 #include "bench_util.hpp"
 #include "ckpt/checker.hpp"
 #include "harness/experiment.hpp"
+#include "harness/scheduler.hpp"
 #include "sim/simulator.hpp"
 #include "core/codec.hpp"
 #include "core/payloads.hpp"
 #include "util/pool.hpp"
+#include "workload/traffic.hpp"
 
 // ---------------------------------------------------------------------------
 // Allocation instrumentation (binary-local). Counts every heap block the
@@ -405,6 +415,10 @@ struct ScalePathPerf {
   std::uint64_t n1M_peak_rss_kib = 0;
   // Heap bytes per host a freshly constructed n=1M System holds.
   double n1M_construct_bytes_per_host = 0;
+  // Construct + start of a second n=1M System, after the run: wall time
+  // and minor page faults.
+  double n1M_setup_warm_s = 0;
+  std::uint64_t n1M_setup_minflt = 0;
   // Headline run-health numbers from the n=1M point's timeline (the
   // sampler is on for that run; its cost is part of n1M_wall_s, so the
   // report measures the instrumented configuration CI actually ships).
@@ -466,6 +480,34 @@ double construct_bytes_per_host(const harness::SystemOptions& opts) {
   return static_cast<double>(after - before) / opts.num_processes;
 }
 
+std::uint64_t minor_faults() {
+  struct rusage ru {};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<std::uint64_t>(ru.ru_minflt);
+}
+
+/// Constructs and starts one System as run_experiment does before its
+/// event loop (no tracer, no timeline) and returns the wall time; the
+/// minor page faults taken go to *minflt. Teardown is not timed.
+double time_setup(const harness::ExperimentConfig& cfg, std::uint64_t* minflt) {
+  const std::uint64_t f0 = minor_faults();
+  const Clock::time_point t0 = Clock::now();
+  harness::System sys(cfg.sys);
+  workload::PointToPointWorkload p2p(
+      sys.simulator(), sys.rng(), sys.n(), cfg.rate,
+      [&sys](ProcessId a, ProcessId b) { sys.send(a, b); });
+  p2p.start(cfg.horizon);
+  harness::SchedulerOptions so;
+  so.interval = cfg.ckpt_interval;
+  so.serialize = cfg.serialize_initiations;
+  so.initiator_limit = cfg.initiator_limit;
+  harness::CheckpointScheduler sched(sys, so);
+  sched.start(cfg.horizon);
+  const double wall = secs_since(t0);
+  *minflt = minor_faults() - f0;
+  return wall;
+}
+
 ScalePathPerf measure_scale_path() {
   ScalePathPerf out;
   {
@@ -493,6 +535,9 @@ ScalePathPerf measure_scale_path() {
     harness::RunResult res = harness::run_experiment(cfg);
     out.n1M_wall_s = secs_since(t0);
     out.n1M_peak_rss_kib = vm_hwm_kib();
+    // After VmHWM is read: a set-up peaks below the run, but it is not
+    // part of what the peak measures.
+    out.n1M_setup_warm_s = time_setup(cfg, &out.n1M_setup_minflt);
     if (!res.timelines.empty()) {
       const obs::TimelineRun& tl = res.timelines.front();
       out.n1M_timeline_rows = tl.rows();
@@ -687,6 +732,10 @@ int main(int argc, char** argv) {
               sc.n1M_wall_s,
               static_cast<unsigned long long>(sc.n1M_peak_rss_kib),
               sc.n1M_construct_bytes_per_host);
+  std::printf("scale set-up: second n=1M construct + start %.3fs, %llu "
+              "minor faults\n",
+              sc.n1M_setup_warm_s,
+              static_cast<unsigned long long>(sc.n1M_setup_minflt));
   std::printf("scale timeline: n=1M rows=%llu peak queue=%llu "
               "in-flight=%lld blocked=%lld\n",
               static_cast<unsigned long long>(sc.n1M_timeline_rows),
@@ -748,6 +797,8 @@ int main(int argc, char** argv) {
                "    \"n1M_wall_s\": %.3f,\n"
                "    \"n1M_peak_rss_kib\": %llu,\n"
                "    \"n1M_construct_bytes_per_host\": %.1f,\n"
+               "    \"n1M_setup_warm_s\": %.3f,\n"
+               "    \"n1M_setup_minflt\": %llu,\n"
                "    \"n1M_timeline_rows\": %llu,\n"
                "    \"n1M_peak_queue_depth\": %llu,\n"
                "    \"n1M_peak_in_flight\": %lld,\n"
@@ -764,7 +815,8 @@ int main(int argc, char** argv) {
                rw.mr16_s * 1e6, rw.mr1024_s * 1e6, rw.ratio, kScaleTrials,
                sc.n1k_deliveries_per_sec, sc.n1k_wall_s, sc.n1M_wall_s,
                static_cast<unsigned long long>(sc.n1M_peak_rss_kib),
-               sc.n1M_construct_bytes_per_host,
+               sc.n1M_construct_bytes_per_host, sc.n1M_setup_warm_s,
+               static_cast<unsigned long long>(sc.n1M_setup_minflt),
                static_cast<unsigned long long>(sc.n1M_timeline_rows),
                static_cast<unsigned long long>(sc.n1M_peak_queue_depth),
                static_cast<long long>(sc.n1M_peak_in_flight),
@@ -795,14 +847,17 @@ int main(int argc, char** argv) {
                  "\"n1k_deliveries_per_sec\":%.1f,"
                  "\"n1M_wall_s\":%.3f,"
                  "\"n1M_peak_rss_kib\":%llu,"
-                 "\"n1M_construct_bytes_per_host\":%.1f}\n",
+                 "\"n1M_construct_bytes_per_host\":%.1f,"
+                 "\"n1M_setup_warm_s\":%.3f,"
+                 "\"n1M_setup_minflt\":%llu}\n",
                  sha, stamp, quick ? "true" : "false", host.nproc,
                  host.compiler, host.build_type, cur_eps, leg_eps,
                  speedup, cur_ape, st.sim_seconds_per_wall_second,
                  st.events_per_sec, ck.ratio, rw.ratio,
                  sc.n1k_deliveries_per_sec, sc.n1M_wall_s,
                  static_cast<unsigned long long>(sc.n1M_peak_rss_kib),
-                 sc.n1M_construct_bytes_per_host);
+                 sc.n1M_construct_bytes_per_host, sc.n1M_setup_warm_s,
+                 static_cast<unsigned long long>(sc.n1M_setup_minflt));
     std::fclose(h);
     std::printf("appended %s\n", history_path);
   }

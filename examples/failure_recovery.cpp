@@ -100,8 +100,8 @@ void part2_recovery_comparison() {
       "%llu events lost, 1 stable checkpoint per process kept\n",
       (unsigned long long)co.lost_events);
   std::printf(
-      "  uncoordinated [1]:           rollback search over %zu stored "
-      "checkpoints, %llu events lost, %llu rollback steps%s\n",
+      "  uncoordinated [1]:           rollback search over %zu "
+      "checkpoints taken, %llu events lost, %llu rollback steps%s\n",
       uncoordinated->store().all().size(),
       (unsigned long long)un.lost_events,
       (unsigned long long)un.rollback_steps,

@@ -60,7 +60,6 @@ int main() {
 
   std::printf("\ncheckpoints on record:\n");
   for (const ckpt::CheckpointRecord& rec : sys.store().all()) {
-    if (rec.kind == ckpt::CkptKind::kInitial) continue;
     std::printf("  P%d csn=%u %s%s (taken t=%.3fms)\n", rec.pid, rec.csn,
                 ckpt::to_string(rec.kind), rec.discarded ? " [discarded]" : "",
                 sim::to_milliseconds(rec.taken_at));

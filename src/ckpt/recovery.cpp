@@ -44,7 +44,8 @@ RecoveryOutcome RecoveryManager::recover_coordinated(sim::SimTime t) const {
 RecoveryOutcome RecoveryManager::recover_uncoordinated(sim::SimTime t) const {
   const int n = log_.num_processes();
   // Candidate cursors per process: all checkpoints taken at or before t,
-  // sorted ascending (includes the implicit initial checkpoint at 0).
+  // sorted ascending. The implicit initial checkpoint (cursor 0) has no
+  // record; it is the fallback below when no candidate qualifies.
   std::vector<std::vector<std::uint64_t>> cand(static_cast<std::size_t>(n));
   for (const CheckpointRecord& rec : store_.all()) {
     if (rec.discarded || rec.taken_at > t) continue;

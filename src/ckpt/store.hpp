@@ -17,7 +17,6 @@
 #include "obs/timeline.hpp"
 #include "obs/trace.hpp"
 #include "sim/time.hpp"
-#include "util/arena.hpp"
 #include "util/assert.hpp"
 #include "util/types.hpp"
 
@@ -80,32 +79,73 @@ struct CheckpointRecord {
   sim::SimTime taken_at = 0;
   sim::SimTime finalized_at = -1;  // when made permanent
   bool discarded = false;
+  // The checkpoint pid took before this one (kNoCkpt: none, i.e. its
+  // implicit initial checkpoint): the link of pid's history chain.
+  CkptRef prev = kNoCkpt;
   // Garbage collection (Section 3.3.4): when this permanent checkpoint
   // was superseded by a newer one and reclaimed from stable storage.
   // -1 = still live. The record itself is kept for post-hoc analysis.
   sim::SimTime gc_at = -1;
 };
 
+static_assert(sizeof(CheckpointRecord) == 64,
+              "the history link must fit in the record's padding");
+
+/// Every checkpoint taken in a run, plus each process's history.
+///
+/// A process's initial checkpoint (csn 0, no events saved) is implicit,
+/// as in the paper: it has no record and no history entry, so a process
+/// that never checkpoints costs the store only its 4-byte history head.
+/// Refs below num_processes() are reserved for those implicit checkpoints
+/// (the checkpoint taken k-th, from 0, gets ref num_processes() + k),
+/// which keeps the refs that traces carry independent of how initials are
+/// stored.
 class CheckpointStore {
  public:
-  /// One process's checkpoint history, oldest first. Inline up to two
-  /// refs: an idle process holds only its implicit initial checkpoint,
-  /// which a std::vector would keep in a 32-B heap chunk of its own.
-  using History = util::SmallVec<CkptRef, 2>;
+  /// One process's checkpoint history, newest first: a walk down the
+  /// records' `prev` links from the process's head. Empty until the
+  /// process takes its first checkpoint.
+  class History {
+   public:
+    class iterator {
+     public:
+      CkptRef operator*() const { return ref_; }
+      iterator& operator++() {
+        ref_ = store_->get(ref_).prev;
+        return *this;
+      }
+      bool operator==(const iterator& o) const { return ref_ == o.ref_; }
+
+     private:
+      friend class History;
+      iterator(const CheckpointStore* store, CkptRef ref)
+          : store_(store), ref_(ref) {}
+      const CheckpointStore* store_;
+      CkptRef ref_;
+    };
+
+    iterator begin() const { return iterator(store_, head_); }
+    iterator end() const { return iterator(store_, kNoCkpt); }
+    bool empty() const { return head_ == kNoCkpt; }
+    /// Walks the chain: O(checkpoints of the process).
+    std::size_t size() const {
+      std::size_t k = 0;
+      for (auto it = begin(); it != end(); ++it) ++k;
+      return k;
+    }
+
+   private:
+    friend class CheckpointStore;
+    History(const CheckpointStore* store, CkptRef head)
+        : store_(store), head_(head) {}
+    const CheckpointStore* store_;
+    CkptRef head_;
+  };
 
   explicit CheckpointStore(int num_processes)
-      : by_process_(static_cast<std::size_t>(num_processes)) {
-    // Every process has an implicit initial (permanent) checkpoint with
-    // csn 0 covering no events.
-    for (int p = 0; p < num_processes; ++p) {
-      CheckpointRecord rec;
-      rec.pid = p;
-      rec.kind = CkptKind::kInitial;
-      intern(rec);
-    }
-  }
+      : head_(static_cast<std::size_t>(num_processes), kNoCkpt) {}
 
-  int num_processes() const { return static_cast<int>(by_process_.size()); }
+  int num_processes() const { return static_cast<int>(head_.size()); }
 
   /// Attaches a flight recorder (null = off): every take / promote /
   /// make_permanent / discard is traced, which covers the checkpoint
@@ -115,20 +155,30 @@ class CheckpointStore {
   /// Attaches the timeline gauge block (null = off). The store owns the
   /// live-checkpoint census: ckpt_live[kind] counts non-discarded records
   /// per lifecycle state (a permanent record leaves the census when the
-  /// auto-GC reclaims it). The implicit initial checkpoints are interned
-  /// before any sampler can attach and are excluded by construction.
+  /// auto-GC reclaims it). The implicit initial checkpoints have no
+  /// record and are not counted.
   void set_timeline(obs::TimelineCounters* t) { timeline_ = t; }
 
   CkptRef take(ProcessId pid, CkptKind kind, Csn csn, InitiationId initiation,
                std::uint64_t event_cursor, sim::SimTime at) {
+    MCK_ASSERT(kind != CkptKind::kInitial);
+    MCK_ASSERT(pid >= 0 && pid < num_processes());
+    CkptRef& head = head_[static_cast<std::size_t>(pid)];
+    // A history is in time order, newest first (last_stable_taken_at
+    // relies on it).
+    MCK_ASSERT(head == kNoCkpt || get(head).taken_at <= at);
     CheckpointRecord rec;
+    rec.ref = static_cast<CkptRef>(head_.size() + all_.size());
     rec.pid = pid;
     rec.kind = kind;
     rec.csn = csn;
+    rec.prev = head;
     rec.initiation = initiation;
     rec.event_cursor = event_cursor;
     rec.taken_at = at;
-    CkptRef ref = intern(rec);
+    all_.push_back(rec);
+    const CkptRef ref = rec.ref;
+    head = ref;
     if (tracer_ != nullptr) {
       tracer_->record(obs::TraceKind::kCkptTaken, at, pid,
                       static_cast<std::uint8_t>(kind), 0, initiation,
@@ -199,7 +249,7 @@ class CheckpointStore {
   std::size_t stable_live_at(ProcessId pid, sim::SimTime t) const {
     std::size_t n = 0;
     for (CkptRef ref : of_process(pid)) {
-      const CheckpointRecord& rec = all_[idx(ref)];
+      const CheckpointRecord& rec = get(ref);
       if (rec.kind != CkptKind::kTentative && rec.kind != CkptKind::kPermanent)
         continue;
       if (rec.taken_at > t) continue;
@@ -230,20 +280,19 @@ class CheckpointStore {
     }
   }
 
-  const History& of_process(ProcessId pid) const {
-    return by_process_[static_cast<std::size_t>(pid)];
+  History of_process(ProcessId pid) const {
+    return History(this, head_[static_cast<std::size_t>(pid)]);
   }
 
+  /// The checkpoints taken so far, in the order taken (no initial ones).
   const std::vector<CheckpointRecord>& all() const { return all_; }
 
-  /// Cursors of the latest permanent checkpoint of every process.
+  /// Cursors of the latest permanent checkpoint of every process (0 for
+  /// a process whose only permanent checkpoint is its initial one).
   Line latest_permanent_line() const {
-    Line line(by_process_.size());
+    Line line(head_.size());
     for (const CheckpointRecord& rec : all_) {
-      if (rec.kind != CkptKind::kPermanent && rec.kind != CkptKind::kInitial) {
-        continue;
-      }
-      if (rec.discarded) continue;
+      if (rec.kind != CkptKind::kPermanent || rec.discarded) continue;
       if (rec.event_cursor >= line[rec.pid]) line[rec.pid] = rec.event_cursor;
     }
     return line;
@@ -254,20 +303,22 @@ class CheckpointStore {
   /// checkpoint-interval rule: "If a process takes a checkpoint before its
   /// scheduled checkpoint time, the next checkpoint will be scheduled 900s
   /// after that time."
+  /// The history is newest first and in time order, so the first such
+  /// checkpoint on it is the latest.
   sim::SimTime last_stable_taken_at(ProcessId pid) const {
-    sim::SimTime last = 0;
     for (CkptRef ref : of_process(pid)) {
-      const CheckpointRecord& rec = all_[idx(ref)];
+      const CheckpointRecord& rec = get(ref);
       if (rec.discarded) continue;
-      if (rec.kind != CkptKind::kTentative && rec.kind != CkptKind::kPermanent)
-        continue;
-      if (rec.taken_at > last) last = rec.taken_at;
+      if (rec.kind == CkptKind::kTentative || rec.kind == CkptKind::kPermanent)
+        return rec.taken_at;
     }
-    return last;
+    return 0;
   }
 
-  /// Number of live (non-discarded) checkpoints of `kind`.
+  /// Number of live (non-discarded) checkpoints of `kind`. Every process
+  /// keeps its implicit initial checkpoint, so count(kInitial) is n.
   std::size_t count(CkptKind kind) const {
+    if (kind == CkptKind::kInitial) return head_.size();
     std::size_t n = 0;
     for (const CheckpointRecord& rec : all_) {
       if (!rec.discarded && rec.kind == kind) ++n;
@@ -276,10 +327,11 @@ class CheckpointStore {
   }
 
  private:
-  /// Slot of `ref` in all_ (refs are dense slot numbers), bounds-checked.
+  /// Slot of `ref` in all_ (refs below num_processes() name the implicit
+  /// initial checkpoints), bounds-checked.
   std::size_t idx(CkptRef ref) const {
-    std::size_t i = static_cast<std::size_t>(ref);
-    MCK_ASSERT(i < all_.size());
+    const std::size_t i = static_cast<std::size_t>(ref) - head_.size();
+    MCK_ASSERT(ref >= head_.size() && i < all_.size());
     return i;
   }
 
@@ -292,7 +344,7 @@ class CheckpointStore {
   void garbage_collect(ProcessId pid, CkptRef keep, sim::SimTime at) {
     for (CkptRef ref : of_process(pid)) {
       if (ref == keep) continue;
-      CheckpointRecord& rec = all_[idx(ref)];
+      CheckpointRecord& rec = mut(ref);
       if (rec.kind == CkptKind::kPermanent && rec.gc_at < 0) {
         rec.gc_at = at;
         if (timeline_ != nullptr) {
@@ -307,15 +359,9 @@ class CheckpointStore {
     if (live > peak_occupancy_) peak_occupancy_ = live;
   }
 
-  CkptRef intern(CheckpointRecord rec) {
-    rec.ref = static_cast<CkptRef>(all_.size());
-    by_process_[static_cast<std::size_t>(rec.pid)].push_back(rec.ref);
-    all_.push_back(rec);
-    return rec.ref;
-  }
-
   std::vector<CheckpointRecord> all_;
-  std::vector<History> by_process_;
+  /// Newest checkpoint of each process (kNoCkpt: only the initial one).
+  std::vector<CkptRef> head_;
   std::size_t peak_occupancy_ = 0;
   bool auto_gc_ = false;
   obs::Tracer* tracer_ = nullptr;

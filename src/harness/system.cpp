@@ -105,6 +105,9 @@ template <typename T, typename... Args>
 void ProtocolSet::emplace(std::size_t count, const Args&... args) {
   static_assert(std::is_base_of_v<rt::CheckpointProtocol, T>);
   static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+  // Leaves room for malloc's chunk header below the threshold.
+  static_assert(kSlabSize * sizeof(T) + 2 * sizeof(void*) < kMmapThreshold,
+                "a protocol slab must stay below the mmap threshold");
   stride_ = sizeof(T);
   slabs_.reserve((count + kSlabSize - 1) >> kSlabShift);
   for (; count_ < count; ++count_) {

@@ -50,13 +50,14 @@ const char* to_string(Algorithm a);
 /// and uncoordinated checkpointing have no committed global lines).
 bool has_committed_lines(Algorithm a);
 
-/// The protocol instances of one run, unbound, in
-/// slabs of 4096 contiguous objects: the algorithm, hence the object
-/// size, is fixed per run, so n processes cost n/4096 allocations and no
-/// per-process pointer. A slab (under 1 MB) stays an ordinary heap chunk
-/// the allocator recycles, where one n-sized block would be mapped fresh,
-/// and its pages faulted again, for every System. Destroys the instances
-/// (virtually) with the slabs.
+/// The protocol instances of one run, unbound, in slabs of 512
+/// contiguous objects: the algorithm, hence the object size, is fixed per
+/// run, so n processes cost n/512 allocations and no per-process pointer.
+/// A slab stays below 128 KiB, glibc's default mmap threshold, so it is
+/// an ordinary heap chunk wherever the dynamic threshold sits. A larger
+/// block is served by mmap, with fresh pages faulted in on every System,
+/// whenever the threshold is at its default (see DESIGN.md, "Allocator
+/// discipline"). Destroys the instances (virtually) with the slabs.
 class ProtocolSet {
  public:
   ProtocolSet() = default;
@@ -79,8 +80,11 @@ class ProtocolSet {
   }
 
  private:
-  static constexpr std::size_t kSlabShift = 12;
+  static constexpr std::size_t kSlabShift = 9;
   static constexpr std::size_t kSlabSize = std::size_t{1} << kSlabShift;
+  /// glibc's default M_MMAP_THRESHOLD; requests at or above it are mmapped
+  /// until a free raises the dynamic threshold.
+  static constexpr std::size_t kMmapThreshold = 128 * 1024;
 
   template <typename T, typename... Args>
   void emplace(std::size_t count, const Args&... args);

@@ -38,6 +38,7 @@ CellularTransport::CellularTransport(sim::Simulator& sim, int num_processes,
       params_(params),
       num_processes_(validate_topology(num_processes, params)),
       mss_of_(static_cast<std::size_t>(num_processes)),
+      hosts_per_mss_(static_cast<std::size_t>(params.num_mss), 0),
       cell_of_(static_cast<std::size_t>(num_processes)),
       disconnected_(static_cast<std::size_t>(num_processes), 0),
       comp_fifo_(num_processes),
@@ -54,7 +55,13 @@ CellularTransport::CellularTransport(sim::Simulator& sim, int num_processes,
     const int c = p % cells;
     cell_of_[static_cast<std::size_t>(p)] = c;
     mss_of_[static_cast<std::size_t>(p)] = c % params_.num_mss;
+    ++hosts_per_mss_[static_cast<std::size_t>(c % params_.num_mss)];
   }
+}
+
+void CellularTransport::move_host(MssId from, MssId to) {
+  --hosts_per_mss_[static_cast<std::size_t>(from)];
+  ++hosts_per_mss_[static_cast<std::size_t>(to)];
 }
 
 sim::SimTime CellularTransport::wireless_tx(std::uint64_t bytes) const {
@@ -124,12 +131,13 @@ void CellularTransport::broadcast(rt::Message msg) {
   // one arrival time; everything then goes into a single batch so the
   // ascending-pid walk stays globally ascending.
   const bool single_class = d_remote == d_local;
-  auto local = std::make_shared<BroadcastBatch>();
-  auto remote = std::make_shared<BroadcastBatch>();
-  local->entries.reserve(static_cast<std::size_t>(n) - 1);
-  if (!single_class) {
-    remote->entries.reserve(static_cast<std::size_t>(n) - 1);
-  }
+  const std::size_t recipients = static_cast<std::size_t>(n) - 1;
+  const std::size_t n_local =
+      single_class ? recipients
+                   : hosts_per_mss_[static_cast<std::size_t>(src_mss)] - 1;
+  BroadcastBatch* local = n_local > 0 ? acquire_batch(n_local) : nullptr;
+  BroadcastBatch* remote =
+      n_local < recipients ? acquire_batch(recipients - n_local) : nullptr;
   for (ProcessId p = 0; p < n; ++p) {
     if (p == msg.src) continue;
     if (timeline_ != nullptr) ++timeline_->in_flight;
@@ -138,22 +146,64 @@ void CellularTransport::broadcast(rt::Message msg) {
         (single_class || dst_mss == src_mss) ? *local : *remote;
     b.entries.push_back(BroadcastEntry{p, row.stamp(p), dst_mss});
   }
+  MCK_ASSERT(local == nullptr || local->entries.size() == n_local);
   // Same-MSS arrivals strictly precede cross-MSS arrivals (the backbone
   // hop adds delay), matching the retired per-recipient event order.
-  const bool has_remote = !remote->entries.empty();
-  if (!local->entries.empty()) {
-    local->tmpl = has_remote ? msg : std::move(msg);
+  if (local != nullptr) {
+    local->tmpl = remote != nullptr ? msg : std::move(msg);
+    local->events = 1;
     sim_.schedule_at(sim_.now() + d_local,
-                     [this, b = std::move(local)]() { deliver_batch(b); });
+                     [this, local]() { deliver_batch(local); });
   }
-  if (has_remote) {
+  if (remote != nullptr) {
     remote->tmpl = std::move(msg);
+    remote->events = 1;
     sim_.schedule_at(sim_.now() + d_remote,
-                     [this, b = std::move(remote)]() { deliver_batch(b); });
+                     [this, remote]() { deliver_batch(remote); });
   }
 }
 
-void CellularTransport::deliver_batch(const std::shared_ptr<BroadcastBatch>& batch) {
+CellularTransport::BroadcastBatch* CellularTransport::acquire_batch(
+    std::size_t entries) {
+  // Best fit: the smallest spare that holds `entries`, else the largest
+  // (which then grows), so a run keeps about one buffer per arrival class
+  // in flight rather than growing every spare to n - 1 entries.
+  std::size_t pick = spare_batches_.size();
+  for (std::size_t i = 0; i < spare_batches_.size(); ++i) {
+    if (pick == spare_batches_.size()) {
+      pick = i;
+      continue;
+    }
+    const std::size_t cap = spare_batches_[i]->entries.capacity();
+    const std::size_t best = spare_batches_[pick]->entries.capacity();
+    const bool fits = cap >= entries;
+    if (fits ? (best < entries || cap < best)
+             : (best < entries && cap > best)) {
+      pick = i;
+    }
+  }
+  BroadcastBatch* b;
+  if (pick == spare_batches_.size()) {
+    batches_.push_back(std::make_unique<BroadcastBatch>());
+    b = batches_.back().get();
+  } else {
+    b = spare_batches_[pick];
+    spare_batches_[pick] = spare_batches_.back();
+    spare_batches_.pop_back();
+  }
+  b->entries.reserve(entries);
+  return b;
+}
+
+void CellularTransport::release_batch(BroadcastBatch* b) {
+  MCK_ASSERT(b->events > 0);
+  if (--b->events > 0) return;
+  b->tmpl = rt::Message{};  // drops the payload reference now
+  b->entries.clear();
+  spare_batches_.push_back(b);
+}
+
+void CellularTransport::deliver_batch(BroadcastBatch* batch) {
   // A recipient in steady state — connected, not rerouted mid-flight, in
   // FIFO order — needs none of the arrival machinery, so a run of such
   // entries is delivered by ONE scheduled event that walks the entries
@@ -173,6 +223,7 @@ void CellularTransport::deliver_batch(const std::shared_ptr<BroadcastBatch>& bat
   std::size_t run_begin = 0;
   auto flush = [&](std::size_t end) {
     if (run_begin == end) return;
+    ++batch->events;
     sim_.schedule_after(0, [this, b = batch, s = run_begin, end]() {
       rt::Message m = b->tmpl;
       decode_from_wire(m);
@@ -184,6 +235,7 @@ void CellularTransport::deliver_batch(const std::shared_ptr<BroadcastBatch>& bat
                        "no delivery sink registered");
         sink_(m);
       }
+      release_batch(b);
     });
     run_begin = end;
   };
@@ -205,6 +257,7 @@ void CellularTransport::deliver_batch(const std::shared_ptr<BroadcastBatch>& bat
     run_begin = i + 1;
   }
   flush(count);
+  release_batch(batch);
 }
 
 void CellularTransport::arrive(rt::Message msg, MssId routed_to) {
@@ -287,6 +340,7 @@ void CellularTransport::handoff(ProcessId pid, MssId to) {
   if (mss_of_[static_cast<std::size_t>(pid)] == to) return;
   MssId from = mss_of_[static_cast<std::size_t>(pid)];
   mss_of_[static_cast<std::size_t>(pid)] = to;
+  move_host(from, to);
   // Cell `to` is served by MSS `to` (to < num_mss), so the moved MH lands
   // in that MSS's first cell.
   cell_of_[static_cast<std::size_t>(pid)] = to;
@@ -319,6 +373,7 @@ void CellularTransport::reconnect(ProcessId pid, MssId at) {
   // reassignment below so the depth gauge drains the right slot.
   const MssId old_mss = mss_of_[static_cast<std::size_t>(pid)];
   mss_of_[static_cast<std::size_t>(pid)] = at;
+  move_host(old_mss, at);
   cell_of_[static_cast<std::size_t>(pid)] = at;
   auto buffered = buffer_.find(pid);
   if (tracer_ != nullptr) {

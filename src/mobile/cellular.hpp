@@ -128,10 +128,15 @@ class CellularTransport final : public rt::Transport {
   };
   /// A broadcast arrival class: every listed recipient hears the shared
   /// template message at the same instant (12 B per recipient instead of
-  /// a whole heap event each — see broadcast()).
+  /// a whole heap event each — see broadcast()). Batches are owned by the
+  /// transport and recycled, entry buffer and all, once the last event
+  /// that reads them has run: at n = 1M the entries of one class fill
+  /// 12 MB, which a fresh allocation per broadcast would fault in page by
+  /// page.
   struct BroadcastBatch {
     rt::Message tmpl;
     std::vector<BroadcastEntry> entries;
+    std::uint32_t events = 0;  // scheduled events that still read it
   };
 
   sim::SimTime wireless_tx(std::uint64_t bytes) const;
@@ -140,7 +145,13 @@ class CellularTransport final : public rt::Transport {
   void launch(rt::Message msg);
   void arrive(rt::Message msg, MssId routed_to);
   void hand_to_process(rt::Message msg);
-  void deliver_batch(const std::shared_ptr<BroadcastBatch>& batch);
+  void deliver_batch(BroadcastBatch* batch);
+  /// A spare batch with room for `entries` recipients (events = 0).
+  BroadcastBatch* acquire_batch(std::size_t entries);
+  /// One scheduled event is done with `b`; the last one recycles it.
+  void release_batch(BroadcastBatch* b);
+  /// Keeps hosts_per_mss_ in step when a host's MSS changes.
+  void move_host(MssId from, MssId to);
 
   sim::Simulator& sim_;
   CellularParams params_;
@@ -149,6 +160,9 @@ class CellularTransport final : public rt::Transport {
   int num_processes_;
   rt::DeliverFn sink_;
   std::vector<MssId> mss_of_;
+  // Hosts placed under each MSS, disconnected ones included: the exact
+  // size of a broadcast's same-MSS arrival class.
+  std::vector<std::size_t> hosts_per_mss_;
   std::vector<int> cell_of_;
   std::vector<std::uint8_t> disconnected_;
   // Lazily created per *disconnected* pid (a dense per-process table is
@@ -163,6 +177,8 @@ class CellularTransport final : public rt::Transport {
   net::FifoSequencer comp_fifo_;
   net::FifoSequencer sys_fifo_;
   std::vector<sim::SimTime> cell_medium_free_;   // bulk transfers per cell
+  std::vector<std::unique_ptr<BroadcastBatch>> batches_;  // every batch made
+  std::vector<BroadcastBatch*> spare_batches_;           // events == 0
   std::uint64_t forwarded_ = 0;
   std::uint64_t buffered_total_ = 0;
   std::uint64_t handoffs_ = 0;

@@ -37,12 +37,12 @@ harness::SystemOptions scale_options() {
   return o;
 }
 
-// Measured 405 B/host (gcc 12, x86-64): 216 B protocol object, 84 B of
-// checkpoint records (the implicit initial one, at the vector's
-// power-of-two capacity), 56 B energy ledger, 32 B checkpoint history,
-// 9 B cellular placement, 8 B event log. With a context, options and
-// sink copied into every process it measured 782 B.
-constexpr double kConstructBudgetPerHost = 450.0;
+// Measured 294 B/host (gcc 12, x86-64): 216 B protocol object, 56 B
+// energy ledger, 9 B cellular placement, 8 B event log, 4 B checkpoint
+// history head. A record and a 32-B history per host for the implicit
+// initial checkpoint measured 405 B; a context, options and sink copied
+// into every process on top of that, 782 B.
+constexpr double kConstructBudgetPerHost = 330.0;
 
 TEST(Footprint, ConstructionHeapBytesPerHostStayUnderBudget) {
   if (!test::live_heap_counted()) GTEST_SKIP() << "allocator interposed (sanitizer)";
@@ -54,6 +54,20 @@ TEST(Footprint, ConstructionHeapBytesPerHostStayUnderBudget) {
               per_host, kHosts);
   EXPECT_LE(per_host, kConstructBudgetPerHost)
       << "System construction holds " << per_host << " heap bytes per host";
+}
+
+TEST(Footprint, CheckpointStoreCostsAtMostEightBytesPerHost) {
+  // Initial checkpoints are implicit and a history is a 4-byte head, so
+  // an idle host costs the store no record and no history chunk.
+  if (!test::live_heap_counted()) GTEST_SKIP() << "allocator interposed (sanitizer)";
+  const std::int64_t before = live_bytes();
+  auto store = std::make_unique<ckpt::CheckpointStore>(kHosts);
+  const double per_host =
+      static_cast<double>(live_bytes() - before) / kHosts;
+  std::printf("footprint: checkpoint store %.1f heap B/host at n = %d\n",
+              per_host, kHosts);
+  EXPECT_LE(per_host, 8.0)
+      << "CheckpointStore holds " << per_host << " heap bytes per host";
 }
 
 TEST(Footprint, CommitBroadcastsAddNoPerHostState) {

@@ -163,14 +163,74 @@ TEST(Store, CheckpointKindNames) {
 }
 
 TEST(Store, PerProcessHistoryOrder) {
+  // A history is the chain of checkpoints a process took, newest first;
+  // the implicit initial checkpoint is not in it.
   ckpt::CheckpointStore store(2);
   ckpt::CkptRef a = store.take(0, ckpt::CkptKind::kTentative, 1, 0, 3, 10);
+  ckpt::CkptRef other = store.take(1, ckpt::CkptKind::kMutable, 1, 0, 2, 15);
   ckpt::CkptRef b = store.take(0, ckpt::CkptKind::kMutable, 2, 0, 5, 20);
-  const auto& hist = store.of_process(0);
-  ASSERT_EQ(hist.size(), 3u);  // initial + two
-  EXPECT_EQ(hist[1], a);
-  EXPECT_EQ(hist[2], b);
-  EXPECT_EQ(store.of_process(1).size(), 1u);
+  std::vector<ckpt::CkptRef> hist;
+  for (ckpt::CkptRef ref : store.of_process(0)) hist.push_back(ref);
+  EXPECT_EQ(hist, (std::vector<ckpt::CkptRef>{b, a}));
+  EXPECT_EQ(store.of_process(0).size(), 2u);
+  EXPECT_EQ(store.get(b).prev, a);
+  EXPECT_EQ(store.get(a).prev, ckpt::kNoCkpt);
+  ASSERT_EQ(store.of_process(1).size(), 1u);
+  EXPECT_EQ(*store.of_process(1).begin(), other);
+}
+
+TEST(Store, InitialCheckpointsAreImplicit) {
+  // Every process starts from an implicit initial checkpoint (csn 0, no
+  // events saved). It is counted, but has no record and no history entry.
+  constexpr int kN = 3;
+  ckpt::CheckpointStore store(kN);
+  EXPECT_EQ(store.count(ckpt::CkptKind::kInitial), std::size_t{kN});
+  EXPECT_TRUE(store.all().empty());
+  for (ProcessId p = 0; p < kN; ++p) {
+    EXPECT_TRUE(store.of_process(p).empty());
+    EXPECT_EQ(store.last_stable_taken_at(p), 0);
+  }
+  EXPECT_EQ(store.latest_permanent_line().cursors,
+            std::vector<std::uint64_t>(kN, 0));
+
+  // Refs below n stay reserved for the implicit checkpoints, so the first
+  // one taken is ref n, as when the initials had records.
+  ckpt::CkptRef a = store.take(1, ckpt::CkptKind::kTentative, 1, 0, 4, 10);
+  EXPECT_EQ(a, ckpt::CkptRef{kN});
+  store.make_permanent(a, 20);
+  EXPECT_EQ(store.count(ckpt::CkptKind::kInitial), std::size_t{kN});
+  EXPECT_EQ(store.count(ckpt::CkptKind::kPermanent), 1u);
+  EXPECT_EQ(store.latest_permanent_line().cursors,
+            (std::vector<std::uint64_t>{0, 4, 0}));
+
+  // Uncoordinated recovery falls back to the implicit initial checkpoint
+  // where no recorded one qualifies. Pinned against the store that kept a
+  // record per initial checkpoint: the same lines, including a domino to
+  // the initial state at t = 2 s.
+  SystemOptions opts;
+  opts.num_processes = 4;
+  opts.algorithm = Algorithm::kUncoordinated;
+  opts.seed = 6;
+  System sys(opts);
+  workload::PointToPointWorkload wl(
+      sys.simulator(), sys.rng(), sys.n(), 0.5,
+      [&sys](ProcessId x, ProcessId y) { sys.send(x, y); });
+  wl.start(sim::seconds(600));
+  sys.simulator().run_until(sim::kTimeNever);
+  EXPECT_EQ(sys.store().count(ckpt::CkptKind::kInitial), 4u);
+  const ckpt::RecoveryOutcome early =
+      sys.recovery().recover_uncoordinated(sim::seconds(2));
+  EXPECT_EQ(early.line.cursors, (std::vector<std::uint64_t>{1, 0, 1, 0}));
+  EXPECT_EQ(early.lost_events, 2324u);
+  EXPECT_EQ(early.rollback_steps, 1u);
+  EXPECT_TRUE(early.domino_to_start);
+  const ckpt::RecoveryOutcome late =
+      sys.recovery().recover_uncoordinated(sim::seconds(400));
+  EXPECT_EQ(late.line.cursors,
+            (std::vector<std::uint64_t>{366, 377, 355, 399}));
+  EXPECT_EQ(late.lost_events, 829u);
+  EXPECT_EQ(late.rollback_steps, 1u);
+  EXPECT_FALSE(late.domino_to_start);
 }
 
 // ---------------------------------------------------------------------
